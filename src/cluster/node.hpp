@@ -74,6 +74,8 @@ class Node {
   /// duration scheduled on this node that much longer (a straggler that
   /// trips timeouts without dying). Sampled at scheduling time only —
   /// already-scheduled state transitions keep their original end time.
+  /// Simulated runs change it through faas::Platform::set_node_slowdown,
+  /// which re-plans coalesced state runs on the node.
   double slowdown() const { return slowdown_; }
   void set_slowdown(double factor) { slowdown_ = factor < 1.0 ? 1.0 : factor; }
 

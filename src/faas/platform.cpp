@@ -685,6 +685,13 @@ void Platform::schedule_next_state(InvocationInternal& inv) {
   const Duration dur = (state.duration + epilogue) * speed;
   inv.state_start = sim_.now();
   inv.state_planned_end = sim_.now() + dur;
+  // Only hooks and the event log observe state boundaries; without them
+  // the attempt's states run as one engine event (DESIGN.md §5c).
+  inv.in_run = hooks_ == nullptr && events_ == nullptr;
+  if (inv.in_run) {
+    schedule_run(inv);
+    return;
+  }
   inv.progress_event = sim_.schedule_after(dur, [this, id, attempt, idx] {
     auto& target = internal(id);
     if (target.attempt != attempt || target.phase != Phase::kExecuting) {
@@ -698,6 +705,77 @@ void Platform::schedule_next_state(InvocationInternal& inv) {
     resolve_recovery_markers(target);
     schedule_next_state(target);
   });
+}
+
+void Platform::schedule_run(InvocationInternal& inv) {
+  const auto& states = inv.spec->states;
+  const double speed = cluster_.node(inv.node).speed();
+  // Stop at the first boundary where a marker resolves, so each recovery
+  // window closes on its exact state commit.
+  Duration floor = Duration::max();
+  for (const RecoveryMarker& marker : inv.markers) {
+    floor = std::min(floor, marker.floor);
+  }
+  std::size_t last = inv.next_state;
+  Duration work = inv.work_done + states[last].duration;
+  TimePoint end = inv.state_planned_end;
+  while (work < floor && last + 1 < states.size()) {
+    ++last;
+    work += states[last].duration;
+    // Rounded per state, exactly as schedule_next_state rounds it.
+    end = end + states[last].duration * speed;
+  }
+  const FunctionId id = inv.id;
+  const int attempt = inv.attempt;
+  inv.progress_event = sim_.schedule_at(end, [this, id, attempt, last] {
+    auto& target = internal(id);
+    if (target.attempt != attempt || target.phase != Phase::kExecuting) {
+      return;
+    }
+    for (std::size_t i = target.next_state; i <= last; ++i) {
+      target.work_done += target.spec->states[i].duration;
+    }
+    target.next_state = last + 1;
+    resolve_recovery_markers(target);
+    schedule_next_state(target);
+  });
+}
+
+void Platform::settle_run(InvocationInternal& inv) {
+  if (!inv.in_run || inv.phase != Phase::kExecuting) return;
+  const auto& states = inv.spec->states;
+  const double speed = cluster_.node(inv.node).speed();
+  // A state ending exactly now stays in flight: in the per-state path a
+  // kill armed at attempt start fires before a same-instant commit.
+  while (inv.state_planned_end < sim_.now() &&
+         inv.next_state + 1 < states.size()) {
+    inv.work_done += states[inv.next_state].duration;
+    ++inv.next_state;
+    inv.state_start = inv.state_planned_end;
+    inv.state_planned_end =
+        inv.state_start + states[inv.next_state].duration * speed;
+  }
+}
+
+void Platform::set_node_slowdown(NodeId node, double factor) {
+  // Settle at the old speed, change it, then re-plan: the in-flight state
+  // keeps its end time and the states after it see the new speed.
+  std::vector<InvocationInternal*> runs;
+  for (const auto& c : containers_) {
+    if (c.node != node || !c.alive() || !c.assigned.valid()) continue;
+    InvocationInternal& inv = internal(c.assigned);
+    if (inv.container != c.id || !inv.in_run ||
+        inv.phase != Phase::kExecuting) {
+      continue;
+    }
+    settle_run(inv);
+    runs.push_back(&inv);
+  }
+  cluster_.node(node).set_slowdown(factor);
+  for (InvocationInternal* inv : runs) {
+    inv->progress_event.cancel();
+    schedule_run(*inv);
+  }
 }
 
 void Platform::complete_function(InvocationInternal& inv) {
@@ -814,6 +892,7 @@ void Platform::handle_kill(InvocationInternal& inv, FailureKind kind) {
       inv.phase == Phase::kPending || inv.phase == Phase::kShed) {
     return;
   }
+  settle_run(inv);
   inv.progress_event.cancel();
   inv.kill_event.cancel();
   inv.timeout_event.cancel();
@@ -952,8 +1031,9 @@ void Platform::logically_fence(NodeId node) {
     for (const ContainerId cid : on_node) {
       const auto& c = container_ref(cid);
       if (!c.assigned.valid()) continue;
-      const InvocationInternal& inv = internal(c.assigned);
+      InvocationInternal& inv = internal(c.assigned);
       if (inv.container != cid || inv.phase != Phase::kExecuting) continue;
+      settle_run(inv);
       const TimePoint commit_at = std::max(sim_.now(), inv.state_planned_end);
       const FunctionId id = inv.id;
       // Deliberately not attempt-guarded: the replacement's progress on
@@ -1037,6 +1117,7 @@ void Platform::join_trace(FunctionId follower, FunctionId leader) {
 void Platform::discard_function(FunctionId id) {
   auto& inv = internal(id);
   if (inv.phase == Phase::kCompleted || inv.phase == Phase::kShed) return;
+  settle_run(inv);
   inv.progress_event.cancel();
   inv.kill_event.cancel();
   inv.timeout_event.cancel();

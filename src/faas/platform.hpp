@@ -281,6 +281,11 @@ class Platform {
   void set_zombie_commit_hook(std::function<void(NodeId, FunctionId)> hook) {
     zombie_commit_hook_ = std::move(hook);
   }
+  /// Set `node`'s gray-failure slowdown (cluster::Node::set_slowdown).
+  /// Every speed change goes through here: coalesced state runs on the
+  /// node are settled and re-planned, so the in-flight state keeps its end
+  /// time and only later states run at the new speed.
+  void set_node_slowdown(NodeId node, double factor);
   /// Node failures awaiting heartbeat confirmation (kHeartbeat mode).
   std::size_t undetected_failures() const { return undetected_.size(); }
 
@@ -320,6 +325,9 @@ class Platform {
     /// once the restore point of the next attempt is known.
     Duration last_failure_work = Duration::zero();
     bool counted_running = false;
+    /// The executing attempt runs its states as one coalesced event (see
+    /// schedule_run): next_state/work_done lag until settle_run().
+    bool in_run = false;
   };
 
   struct JobRecord {
@@ -396,6 +404,15 @@ class Platform {
 
   void begin_execution(InvocationInternal& inv, int attempt);
   void schedule_next_state(InvocationInternal& inv);
+  /// Schedule one event for the run of states from the in-flight one
+  /// (ending at state_planned_end) to the last state, or to the first
+  /// boundary where a recovery marker resolves. States after the
+  /// in-flight one run at the node's current speed.
+  void schedule_run(InvocationInternal& inv);
+  /// Commit every state of a coalesced run that ended strictly before now
+  /// and point next_state/work_done/state_start/state_planned_end at the
+  /// in-flight state, as the per-state path would hold them.
+  void settle_run(InvocationInternal& inv);
   void complete_function(InvocationInternal& inv);
   void handle_kill(InvocationInternal& inv, FailureKind kind);
   /// Logical fence for a confirmed-dead node the majority cannot reach:

@@ -1,15 +1,19 @@
 // Unit tests for the FaaS platform: lifecycle timing, scheduling,
 // concurrency limits, warm containers, failure handling, retry recovery,
-// recovery-time accounting, and the usage ledger.
+// recovery-time accounting, the usage ledger, and coalesced state runs
+// against the per-state reference.
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "cluster/cluster.hpp"
 #include "cluster/network.hpp"
 #include "faas/platform.hpp"
 #include "faas/retry.hpp"
 #include "obs/metric_registry.hpp"
+#include "recovery/request_replication.hpp"
 #include "sim/simulator.hpp"
 
 namespace canary::faas {
@@ -422,6 +426,194 @@ TEST_F(PlatformTest, JobFunctionsAndInvocationLookup) {
   EXPECT_EQ(p.all_function_ids().size(), 2u);
   const auto& spec = p.job_spec(id.value());
   EXPECT_EQ(spec.functions.size(), 2u);
+}
+
+// ---- coalesced state runs vs the per-state reference ---------------------
+//
+// Without ExecutionHooks or an EventLog the platform runs an attempt's
+// states as one engine event. A pass-through hooks object forces the
+// per-state path, so each scenario below runs both ways and must agree on
+// every outcome; only the engine event count may (and must) drop.
+
+class PassThroughHooks : public ExecutionHooks {
+ public:
+  Duration state_epilogue(const Invocation&, std::size_t) override {
+    return Duration::zero();
+  }
+  void on_state_committed(const Invocation&, std::size_t) override {}
+};
+
+/// (next_state, work_done) as callbacks see them at failure/completion.
+using Progress = std::pair<std::size_t, Duration>;
+
+class ProgressProbe : public PlatformObserver {
+ public:
+  void on_function_failed(const Invocation& inv, const FailureInfo&) override {
+    at_failure.emplace_back(inv.next_state, inv.work_done);
+  }
+  void on_function_completed(const Invocation& inv) override {
+    at_completion.emplace_back(inv.next_state, inv.work_done);
+  }
+  std::vector<Progress> at_failure;
+  std::vector<Progress> at_completion;
+};
+
+struct PathRig {
+  explicit PathRig(bool per_state)
+      : cluster(uniform_nodes(2)), network(&cluster, {}) {
+    PlatformConfig config;
+    config.scheduler_overhead = Duration::zero();
+    platform.emplace(sim, cluster, network, config, metrics);
+    retry.emplace(*platform);
+    platform->set_recovery_handler(&*retry);
+    platform->add_observer(&probe);
+    if (per_state) platform->set_hooks(&hooks);
+  }
+
+  sim::Simulator sim;
+  cluster::Cluster cluster;
+  cluster::NetworkModel network;
+  obs::MetricRegistry metrics;
+  std::optional<Platform> platform;
+  std::optional<RetryHandler> retry;
+  std::optional<FixedKillPolicy> kill;
+  std::optional<recovery::RequestReplicationHandler> rr;
+  PassThroughHooks hooks;
+  ProgressProbe probe;
+};
+
+struct PathOutcome {
+  std::vector<std::int64_t> completion_usec;
+  std::vector<Duration> lost_work;
+  std::vector<Duration> recovery_time;
+  std::vector<int> attempts;
+  std::vector<Progress> at_failure;
+  std::vector<Progress> at_completion;
+  std::uint64_t events = 0;
+};
+
+template <typename Setup>
+PathOutcome run_path(bool per_state, const Setup& setup) {
+  PathRig rig(per_state);
+  setup(rig);
+  rig.sim.run();
+  PathOutcome out;
+  for (const FunctionId id : rig.platform->all_function_ids()) {
+    const Invocation& inv = rig.platform->invocation(id);
+    out.completion_usec.push_back(inv.completion_time.count_usec());
+    out.lost_work.push_back(inv.lost_work);
+    out.recovery_time.push_back(inv.recovery_time);
+    out.attempts.push_back(inv.attempt);
+  }
+  out.at_failure = rig.probe.at_failure;
+  out.at_completion = rig.probe.at_completion;
+  out.events = rig.sim.executed_events();
+  return out;
+}
+
+/// Runs `setup` per-state and coalesced, checks they agree, and returns
+/// the coalesced outcome for scenario-specific expectations.
+template <typename Setup>
+PathOutcome expect_paths_agree(const Setup& setup) {
+  const PathOutcome reference = run_path(/*per_state=*/true, setup);
+  const PathOutcome coalesced = run_path(/*per_state=*/false, setup);
+  EXPECT_EQ(coalesced.completion_usec, reference.completion_usec);
+  EXPECT_EQ(coalesced.lost_work, reference.lost_work);
+  EXPECT_EQ(coalesced.recovery_time, reference.recovery_time);
+  EXPECT_EQ(coalesced.attempts, reference.attempts);
+  EXPECT_EQ(coalesced.at_failure, reference.at_failure);
+  EXPECT_EQ(coalesced.at_completion, reference.at_completion);
+  EXPECT_LT(coalesced.events, reference.events);
+  return coalesced;
+}
+
+/// Four 1 s states; on a speed-1.0 node execution starts at 0.8 s, so the
+/// state boundaries fall at 1.8, 2.8, 3.8 and 4.8 s.
+auto kill_first_attempt_at(Duration offset) {
+  return [offset](PathRig& rig) {
+    rig.kill.emplace(1, offset);
+    rig.platform->set_failure_policy(&*rig.kill);
+    JobSpec job;
+    job.functions.push_back(simple_function(4));
+    ASSERT_TRUE(rig.platform->submit_job(std::move(job)).ok());
+  };
+}
+
+TEST(CoalescedRunTest, KillMidRunSettlesCommittedStates) {
+  // 3.3 s is halfway through state 2: states 0 and 1 have committed.
+  const PathOutcome out = expect_paths_agree(
+      kill_first_attempt_at(Duration::msec(3300)));
+  ASSERT_EQ(out.at_failure.size(), 1u);
+  EXPECT_EQ(out.at_failure[0], Progress(2, Duration::sec(2.0)));
+  // 2 s of committed states redone from scratch plus 0.5 s partial.
+  EXPECT_EQ(out.lost_work[0], Duration::msec(2500));
+}
+
+TEST(CoalescedRunTest, KillOnStateBoundaryKeepsThatStateInFlight) {
+  // The kill, armed at attempt start, fires before a same-instant commit:
+  // state 1 ends at 2.8 s but is lost whole.
+  const PathOutcome out = expect_paths_agree(
+      kill_first_attempt_at(Duration::msec(2800)));
+  ASSERT_EQ(out.at_failure.size(), 1u);
+  EXPECT_EQ(out.at_failure[0], Progress(1, Duration::sec(1.0)));
+  EXPECT_EQ(out.lost_work[0], Duration::sec(2.0));
+}
+
+TEST(CoalescedRunTest, KillAtRunEndKeepsLastStateInFlight) {
+  const PathOutcome out = expect_paths_agree(
+      kill_first_attempt_at(Duration::msec(4800)));
+  ASSERT_EQ(out.at_failure.size(), 1u);
+  EXPECT_EQ(out.at_failure[0], Progress(3, Duration::sec(3.0)));
+  EXPECT_EQ(out.lost_work[0], Duration::sec(4.0));
+}
+
+TEST(CoalescedRunTest, RetriedAttemptSplitsRunWhereMarkerResolves) {
+  // Killed at 2.3 s with 1.5 s of work done: the retry starts cold at
+  // 2.6 s, executes from 3.4 s, and regains 1.5 s when state 1 commits at
+  // 5.4 s, mid-way through its states.
+  const PathOutcome out = expect_paths_agree(
+      kill_first_attempt_at(Duration::msec(2300)));
+  EXPECT_EQ(out.recovery_time[0], Duration::msec(3100));
+  EXPECT_EQ(out.completion_usec[0], 7'900'000);
+  EXPECT_EQ(out.attempts[0], 2);
+}
+
+TEST(CoalescedRunTest, DiscardedReplicaSettlesMidRun) {
+  const PathOutcome out = expect_paths_agree([](PathRig& rig) {
+    // The replica lands on node 2, running at half speed: it executes
+    // from 1.6 s with 2 s states, so when the primary wins at 5.3 s it is
+    // discarded with one state committed.
+    rig.platform->set_node_slowdown(NodeId{2}, 2.0);
+    rig.rr.emplace(*rig.platform, 1);
+    rig.platform->set_recovery_handler(&*rig.rr);
+    rig.platform->add_observer(&*rig.rr);
+    JobSpec job;
+    job.functions.push_back(simple_function(4));
+    const auto submitted = rig.platform->submit_job(rig.rr->expand_job(job));
+    ASSERT_TRUE(submitted.ok());
+    rig.rr->track_job(submitted.value());
+  });
+  ASSERT_EQ(out.at_completion.size(), 2u);
+  EXPECT_EQ(out.at_completion[0], Progress(4, Duration::sec(4.0)));
+  EXPECT_EQ(out.at_completion[1], Progress(1, Duration::sec(1.0)));
+  EXPECT_EQ(out.completion_usec, (std::vector<std::int64_t>{5'300'000,
+                                                            5'300'000}));
+}
+
+TEST(CoalescedRunTest, SlowdownMidRunReplansLaterStates) {
+  const PathOutcome out = expect_paths_agree([](PathRig& rig) {
+    JobSpec job;
+    job.functions.push_back(simple_function(4));
+    ASSERT_TRUE(rig.platform->submit_job(std::move(job)).ok());
+    Platform* p = &*rig.platform;
+    rig.sim.schedule_at(TimePoint::origin() + Duration::msec(2300),
+                        [p] { p->set_node_slowdown(NodeId{1}, 3.0); });
+    rig.sim.schedule_at(TimePoint::origin() + Duration::msec(4000),
+                        [p] { p->set_node_slowdown(NodeId{1}, 1.0); });
+  });
+  // State 1 keeps its 2.8 s end; state 2 runs at 3x (2.8 -> 5.8 s) and
+  // keeps that end across the heal; state 3 and finalize run at 1x.
+  EXPECT_EQ(out.completion_usec[0], 7'300'000);
 }
 
 }  // namespace

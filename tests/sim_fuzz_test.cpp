@@ -17,6 +17,12 @@
 //    (work conservation), every function completed exactly once, and the
 //    critical-path breakdown components partition each recovery window
 //    to within one simulated millisecond.
+//
+//  * Differential fuzz: 64 seeds of platform-only strategies run twice,
+//    once with the event log on (one engine event per function state)
+//    and once with it off (each attempt's states coalesced into one
+//    event). Every simulated outcome must match exactly; only the
+//    engine's event count may differ, and it must drop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,6 +32,7 @@
 #include <vector>
 
 #include "harness/scenario.hpp"
+#include "harness/scenario_internal.hpp"
 #include "obs/critical_path.hpp"
 #include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
@@ -411,6 +418,133 @@ TEST(SimFuzzTest, ScenarioInvariantsHoldAcross64Seeds) {
     EXPECT_NEAR(agg_sum, agg_window,
                 1e-3 * std::max<double>(1.0, static_cast<double>(
                                                  result.breakdown.recovery_count)));
+  }
+}
+
+// ---------------------------------------------------------------------
+// Differential fuzz: coalesced state runs vs the per-state reference
+// ---------------------------------------------------------------------
+
+/// A duration drawn uniformly from [lo_usec, lo_usec + span_usec).
+Duration random_span(std::mt19937_64& rng, std::int64_t lo_usec,
+                     std::uint64_t span_usec) {
+  return Duration::usec(lo_usec + static_cast<std::int64_t>(rng() % span_usec));
+}
+
+harness::ScenarioConfig random_platform_scenario(std::mt19937_64& rng) {
+  harness::ScenarioConfig config;
+  switch (rng() % 3) {
+    case 0: config.strategy = recovery::StrategyConfig::retry(); break;
+    case 1:
+      config.strategy = recovery::StrategyConfig::request_replication(
+          1 + static_cast<unsigned>(rng() % 2));
+      break;
+    default:
+      config.strategy = recovery::StrategyConfig::active_standby();
+      break;
+  }
+  config.error_rate = static_cast<double>(rng() % 30) / 100.0;
+  config.cluster_nodes = 4u + rng() % 13;  // 4..16
+  config.seed = rng();
+  if (rng() % 2 == 0) {
+    config.node_failure_offsets.push_back(
+        random_span(rng, 1'000'000, 40'000'000));
+  }
+  const std::size_t gray_windows = rng() % 3;
+  for (std::size_t i = 0; i < gray_windows; ++i) {
+    harness::ScenarioConfig::GrayFailure gray;
+    gray.at = random_span(rng, 0, 30'000'000);
+    gray.duration = random_span(rng, 500'000, 8'000'000);
+    gray.slowdown = 1.5 + static_cast<double>(rng() % 50) / 10.0;
+    config.gray_failures.push_back(gray);
+  }
+  config.detection.enabled = rng() % 2 == 0;
+  if (config.detection.enabled && config.cluster_nodes >= 12 &&
+      rng() % 2 == 0) {
+    // Cut the last zone (four nodes) off: the majority fences its live
+    // workers logically and redeploys their invocations.
+    harness::ScenarioConfig::PartitionFault cut;
+    cut.at = random_span(rng, 0, 20'000'000);
+    cut.duration = random_span(rng, 2'000'000, 6'000'000);
+    cut.zone = static_cast<std::uint32_t>(config.cluster_nodes / 4 - 1);
+    config.partitions.push_back(cut);
+  }
+  return config;
+}
+
+/// A function timeout that a clean attempt on the slowest CPU class
+/// (speed factor 1.18) under maximal cold-start contention always meets,
+/// but an attempt slowed by a gray window may not: retries then succeed
+/// once the window closes.
+Duration random_timeout(std::mt19937_64& rng,
+                        const std::vector<faas::JobSpec>& jobs) {
+  Duration longest = Duration::zero();
+  for (const auto& job : jobs) {
+    for (const auto& fn : job.functions) {
+      longest = std::max(longest, fn.total_state_work() + fn.finalize);
+    }
+  }
+  const double slack = 1.25 + static_cast<double>(rng() % 75) / 100.0;
+  return longest * (1.18 * slack) + Duration::sec(3.0);
+}
+
+struct Outcome {
+  harness::RunResult result;
+  std::vector<std::int64_t> completion_usec;  // by function id
+};
+
+Outcome run_outcome(harness::ScenarioConfig config,
+                    const std::vector<faas::JobSpec>& jobs,
+                    bool record_events) {
+  config.record_events = record_events;
+  sim::Simulator simulator;
+  harness::internal::ScenarioInstance instance(simulator, config, jobs,
+                                               /*install_log_hooks=*/true);
+  simulator.run();
+  Outcome outcome;
+  for (const FunctionId id : instance.platform.all_function_ids()) {
+    outcome.completion_usec.push_back(
+        instance.platform.invocation(id).completion_time.count_usec());
+  }
+  outcome.result = instance.collect();
+  return outcome;
+}
+
+TEST(SimFuzzTest, CoalescedStateRunsMatchPerStateReferenceAcross64Seeds) {
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    std::mt19937_64 rng(seed * 0xd1b54a32d192ed03ull);
+    harness::ScenarioConfig config = random_platform_scenario(rng);
+    const std::vector<faas::JobSpec> jobs = random_jobs(rng);
+    if (rng() % 3 == 0) {
+      config.platform.limits.function_timeout = random_timeout(rng, jobs);
+    }
+
+    const Outcome reference =
+        run_outcome(config, jobs, /*record_events=*/true);
+    const Outcome coalesced =
+        run_outcome(config, jobs, /*record_events=*/false);
+    const harness::RunResult& ref = reference.result;
+    const harness::RunResult& got = coalesced.result;
+
+    EXPECT_EQ(got.completed, ref.completed);
+    EXPECT_EQ(got.makespan_s, ref.makespan_s);
+    EXPECT_EQ(got.total_recovery_s, ref.total_recovery_s);
+    EXPECT_EQ(got.lost_work_s, ref.lost_work_s);
+    EXPECT_EQ(got.cost_usd, ref.cost_usd);
+    EXPECT_EQ(got.failures, ref.failures);
+    for (const char* counter :
+         {"functions_completed", "recoveries", "timeouts", "nodes_fenced",
+          "nodes_fenced_logical"}) {
+      EXPECT_EQ(got.metrics.counter(counter), ref.metrics.counter(counter))
+          << counter;
+    }
+    EXPECT_EQ(got.injected_gray_windows, ref.injected_gray_windows);
+    EXPECT_EQ(coalesced.completion_usec, reference.completion_usec);
+
+    // Every generated workload has multi-state functions, so the
+    // coalesced run must execute strictly fewer engine events.
+    EXPECT_LT(got.simulated_events, ref.simulated_events);
   }
 }
 

@@ -20,10 +20,13 @@ report must carry neither.
 
 canary.bench/v1 — the throughput reports emitted by bench/scale_stress:
 named phases with events, wall time, events/sec and exact allocation
-counts, plus peak RSS. With --baseline, each phase's events/sec is
-compared against the same phase in the baseline report and the check
-fails if any phase regressed by more than --max-regress (default 0.20,
-i.e. 20%).
+counts, plus peak RSS. With --baseline, each phase's rate is compared
+against the same phase in the baseline report and the check fails if
+any phase regressed by more than --max-regress (default 0.20, i.e.
+20%). Engine phases are gated on events/sec. platform_* phases are gated
+on invocations/sec (config.invocations / wall_s): the platform's event
+count per invocation depends on its event model, so events/sec there
+would read an event-volume cut as a slowdown.
 
 canary.chaos/v1 — the chaos-campaign verdicts emitted by
 bench/chaos_campaign: scenario count, injected-fault totals, detector
@@ -392,8 +395,23 @@ def check_report(report, path):
           f"{len(series)} series, {len(claims)} claims{extra})")
 
 
+def fmt_rate(rate, unit):
+    scaled = f"{rate / 1e6:.2f}M" if rate >= 1e6 else f"{rate / 1e3:.1f}k"
+    return f"{scaled} {unit}"
+
+
+def gate_rate(phase, config):
+    """The rate --baseline gates a bench phase on, with its unit."""
+    if phase["name"].startswith("platform_"):
+        return config["invocations"] / phase["wall_s"], "inv/s"
+    return phase["events_per_sec"], "ev/s"
+
+
 def check_bench_report(report, path):
-    """Validate a canary.bench/v1 report; returns {phase name: events/sec}."""
+    """Validate a canary.bench/v1 report.
+
+    Returns {phase name: (gated rate, unit)}; see gate_rate.
+    """
     expect(isinstance(report, dict), "top level: expected an object")
     expect(report.get("schema") == BENCH_SCHEMA,
            f"schema: expected '{BENCH_SCHEMA}', got {report.get('schema')!r}")
@@ -428,13 +446,13 @@ def check_bench_report(report, path):
                <= 0.01 * measured_rate,
                f"{p}.events_per_sec inconsistent with events/wall_s")
         expect(phase["name"] not in rates, f"{p}: duplicate phase name")
-        rates[phase["name"]] = phase["events_per_sec"]
+        rates[phase["name"]] = gate_rate(phase, config)
 
     check_number(report, "peak_rss_bytes", "top level")
     expect(report["peak_rss_bytes"] > 0, "peak_rss_bytes: must be positive")
 
     summary = ", ".join(
-        f"{name} {rate / 1e6:.2f}M ev/s" for name, rate in rates.items())
+        f"{name} {fmt_rate(rate, unit)}" for name, (rate, unit) in rates.items())
     print(f"{path}: OK ({BENCH_SCHEMA}, {summary})")
     return rates
 
@@ -1062,18 +1080,18 @@ def compare_hedge(report, baseline, max_regress, path):
 
 
 def compare_bench(rates, baseline_rates, max_regress, path):
-    """Fail if any phase's events/sec regressed beyond max_regress."""
-    for name, base_rate in baseline_rates.items():
+    """Fail if any phase's gated rate regressed beyond max_regress."""
+    for name, (base_rate, unit) in baseline_rates.items():
         expect(name in rates, f"{path}: phase '{name}' missing vs baseline")
         floor = base_rate * (1.0 - max_regress)
-        rate = rates[name]
+        rate = rates[name][0]
         expect(rate >= floor,
-               f"{path}: phase '{name}' regressed: {rate:.0f} ev/s < "
-               f"{floor:.0f} ev/s (baseline {base_rate:.0f}, "
+               f"{path}: phase '{name}' regressed: {rate:.0f} {unit} < "
+               f"{floor:.0f} {unit} (baseline {base_rate:.0f}, "
                f"max regression {max_regress:.0%})")
         delta = (rate - base_rate) / base_rate
-        print(f"{path}: {name}: {rate / 1e6:.2f}M ev/s vs baseline "
-              f"{base_rate / 1e6:.2f}M ({delta:+.1%})")
+        print(f"{path}: {name}: {fmt_rate(rate, unit)} vs baseline "
+              f"{fmt_rate(base_rate, unit)} ({delta:+.1%})")
 
 
 def load(path):
