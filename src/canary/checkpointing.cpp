@@ -1,7 +1,7 @@
 #include "canary/checkpointing.hpp"
 
 #include <algorithm>
-#include <sstream>
+#include <utility>
 
 #include "common/logging.hpp"
 
@@ -23,7 +23,11 @@ CheckpointingModule::CheckpointingModule(
       config_(config) {}
 
 std::string CheckpointingModule::kv_key(FunctionId fn, std::size_t state_idx) {
-  return "ckpt/" + to_string(fn) + "/" + std::to_string(state_idx);
+  std::string key = "ckpt/";
+  key += to_string(fn);
+  key += '/';
+  key += std::to_string(state_idx);
+  return key;
 }
 
 Bytes CheckpointingModule::effective_payload(const faas::FunctionSpec& spec,
@@ -116,22 +120,29 @@ void CheckpointingModule::on_state_committed(const faas::Invocation& inv,
   row.kv_key = key;
   row.created = sim_.now();
 
-  std::ostringstream meta;
-  meta << "job=" << to_string(inv.job) << ";fn=" << to_string(inv.id)
-       << ";state=" << idx << ";bytes=" << payload.count();
+  std::string meta;
+  meta.reserve(64);  // the spill record's ";loc=..." suffix included
+  meta += "job=";
+  meta += to_string(inv.job);
+  meta += ";fn=";
+  meta += to_string(inv.id);
+  meta += ";state=";
+  meta += std::to_string(idx);
+  meta += ";bytes=";
+  meta += std::to_string(payload.count());
 
   if (payload <= store_.config().max_entry_size) {
     row.location = cluster::StorageTier::kKvStore;
     // The KV store is replicated (and persistent in the testbed config),
     // so in-KV checkpoints survive node failures immediately.
     row.flushed_to_shared = true;
-    const Status put = store_.put(key, meta.str(), payload, inv.node);
+    const Status put = store_.put(key, std::move(meta), payload, inv.node);
     if (!put.ok()) {
       // A degraded store (shard fault, capacity, fenced/partitioned
       // writer) must never crash the checkpoint path: the state commit
       // stands, this checkpoint is simply not durable — recovery falls
       // back to an older intact row or full re-execution.
-      metrics_.count("checkpoint_write_failures");
+      m_write_failures_.add();
       CANARY_LOG_WARN("checkpoint put failed for " << key << ": "
                                                    << put.error().message);
       return;
@@ -141,19 +152,20 @@ void CheckpointingModule::on_state_committed(const faas::Invocation& inv,
     row.location = tier.value_or(cluster::StorageTier::kNfs);
     const auto& tier_profile = storage_.profile(row.location);
     row.flushed_to_shared = tier_profile.shared;
-    meta << ";loc=" << to_string_view(row.location);
-    const Status put = store_.put(key, meta.str(), config_.metadata_size,
+    meta += ";loc=";
+    meta += to_string_view(row.location);
+    const Status put = store_.put(key, std::move(meta), config_.metadata_size,
                                   inv.node);
     if (!put.ok()) {
-      metrics_.count("checkpoint_write_failures");
+      m_write_failures_.add();
       CANARY_LOG_WARN("checkpoint metadata put failed for "
                       << key << ": " << put.error().message);
       return;
     }
-    metrics_.count("checkpoint_spills");
+    m_checkpoint_spills_.add();
   }
-  metrics_.count("checkpoints_written");
-  metrics_.sample("checkpoint_payload_mib", payload.to_mib());
+  m_checkpoints_written_.add();
+  m_payload_mib_.record(payload.to_mib());
   if (spans_ != nullptr) {
     // The commit fires at the end of the state's epilogue, so the write
     // window is the epilogue interval ending now.
@@ -172,26 +184,16 @@ void CheckpointingModule::on_state_committed(const faas::Invocation& inv,
                     "checkpoint_" + std::to_string(idx), sim_.now(), labels);
   }
 
-  // A recommit of the same state (after a restore) replaces the old row.
-  for (const auto* existing : metadata_.checkpoints_of(inv.id)) {
-    if (existing->state_index == idx) {
-      metadata_.remove_checkpoint(existing->checkpoint);
-      break;
-    }
-  }
+  // A recommit of the same state (after a restore) replaces the old row;
+  // retention keeps the latest n checkpoints (Algorithm 1 lines 14-16).
   const CheckpointId row_id = row.checkpoint;
   const bool needs_flush = !row.flushed_to_shared;
-  metadata_.insert_checkpoint(std::move(row));
-
-  // Retention: keep the latest n checkpoints (Algorithm 1 lines 14-16).
-  const unsigned retention = retention_for(*inv.spec);
-  auto rows = metadata_.checkpoints_of(inv.id);
-  while (rows.size() > retention) {
-    const auto* oldest = rows.front();
-    (void)store_.remove(oldest->kv_key);
-    metadata_.remove_checkpoint(oldest->checkpoint);
-    rows.erase(rows.begin());
-  }
+  unsigned& retention = metadata_.checkpoint_retention(inv.id);
+  if (retention == 0) retention = retention_for(*inv.spec);
+  metadata_.commit_checkpoint(std::move(row), retention,
+                              [this](const CheckpointInfoRow& oldest) {
+                                (void)store_.remove(oldest.kv_key);
+                              });
 
   if (needs_flush) {
     // Asynchronous flush to shared storage; until it completes the spilled
@@ -212,7 +214,7 @@ RestorePlan CheckpointingModule::restore_plan(FunctionId fn,
                                               NodeId target_node) const {
   RestorePlan plan;
   if (!config_.enabled) return plan;
-  auto rows = metadata_.checkpoints_of(fn);
+  const auto& rows = metadata_.checkpoints_of(fn);
   for (auto it = rows.rbegin(); it != rows.rend(); ++it) {
     const CheckpointInfoRow& row = **it;
     Duration read = Duration::zero();

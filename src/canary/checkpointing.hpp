@@ -128,6 +128,10 @@ class CheckpointingModule {
   kv::KvStore& store_;
   MetadataStore& metadata_;
   obs::MetricRegistry& metrics_;
+  obs::CounterHandle m_checkpoints_written_{metrics_, "checkpoints_written"};
+  obs::CounterHandle m_checkpoint_spills_{metrics_, "checkpoint_spills"};
+  obs::CounterHandle m_write_failures_{metrics_, "checkpoint_write_failures"};
+  obs::HistogramHandle m_payload_mib_{metrics_, "checkpoint_payload_mib"};
   obs::SpanRecorder* spans_ = nullptr;
   obs::EventLog* events_ = nullptr;
   CheckpointingConfig config_;

@@ -1,6 +1,7 @@
 #include "canary/metadata.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/result.hpp"
 
@@ -62,18 +63,34 @@ std::vector<const FunctionInfoRow*> MetadataStore::functions_of_job(
 void MetadataStore::insert_checkpoint(CheckpointInfoRow row) {
   const CheckpointId id = row.checkpoint;
   const FunctionId fn = row.function;
-  CANARY_CHECK(checkpoints_.find(id) == checkpoints_.end(),
-               "duplicate checkpoint row");
-  checkpoints_.emplace(id, std::move(row));
-  checkpoints_by_fn_[fn].push_back(id);
+  auto [it, inserted] = checkpoints_.emplace(id, std::move(row));
+  CANARY_CHECK(inserted, "duplicate checkpoint row");
+  const CheckpointInfoRow* stored = &it->second;
+  auto& rows = checkpoints_by_fn_[fn].rows;
+  // Commits arrive in state order, so this is nearly always the end.
+  auto pos = rows.end();
+  while (pos != rows.begin() &&
+         (*std::prev(pos))->state_index > stored->state_index) {
+    --pos;
+  }
+  rows.insert(pos, stored);
+}
+
+void MetadataStore::erase_checkpoint_row(FunctionCheckpoints& per_fn,
+                                         std::size_t pos) {
+  const CheckpointId id = per_fn.rows[pos]->checkpoint;
+  per_fn.rows.erase(per_fn.rows.begin() + static_cast<std::ptrdiff_t>(pos));
+  checkpoints_.erase(id);
 }
 
 void MetadataStore::remove_checkpoint(CheckpointId id) {
   auto it = checkpoints_.find(id);
   if (it == checkpoints_.end()) return;
   auto& per_fn = checkpoints_by_fn_[it->second.function];
-  per_fn.erase(std::remove(per_fn.begin(), per_fn.end(), id), per_fn.end());
-  checkpoints_.erase(it);
+  const auto pos =
+      std::find(per_fn.rows.begin(), per_fn.rows.end(), &it->second);
+  erase_checkpoint_row(per_fn,
+                       static_cast<std::size_t>(pos - per_fn.rows.begin()));
 }
 
 CheckpointInfoRow* MetadataStore::mutable_checkpoint(CheckpointId id) {
@@ -81,39 +98,41 @@ CheckpointInfoRow* MetadataStore::mutable_checkpoint(CheckpointId id) {
   return it == checkpoints_.end() ? nullptr : &it->second;
 }
 
-std::vector<const CheckpointInfoRow*> MetadataStore::checkpoints_of(
+const std::vector<const CheckpointInfoRow*>& MetadataStore::checkpoints_of(
     FunctionId fn) const {
-  std::vector<const CheckpointInfoRow*> rows;
+  static const std::vector<const CheckpointInfoRow*> kNone;
   auto it = checkpoints_by_fn_.find(fn);
-  if (it == checkpoints_by_fn_.end()) return rows;
-  rows.reserve(it->second.size());
-  for (const CheckpointId id : it->second) {
-    auto row = checkpoints_.find(id);
-    if (row != checkpoints_.end()) rows.push_back(&row->second);
-  }
-  std::sort(rows.begin(), rows.end(),
-            [](const CheckpointInfoRow* a, const CheckpointInfoRow* b) {
-              return a->state_index < b->state_index;
-            });
-  return rows;
+  return it == checkpoints_by_fn_.end() ? kNone : it->second.rows;
 }
 
 std::size_t MetadataStore::checkpoint_count(FunctionId fn) const {
-  auto it = checkpoints_by_fn_.find(fn);
-  return it == checkpoints_by_fn_.end() ? 0 : it->second.size();
+  return checkpoints_of(fn).size();
+}
+
+unsigned& MetadataStore::checkpoint_retention(FunctionId fn) {
+  return checkpoints_by_fn_[fn].retention;
 }
 
 void MetadataStore::remove_checkpoints_of(FunctionId fn) {
   auto it = checkpoints_by_fn_.find(fn);
   if (it == checkpoints_by_fn_.end()) return;
-  for (const CheckpointId id : it->second) checkpoints_.erase(id);
+  for (const CheckpointInfoRow* row : it->second.rows) {
+    checkpoints_.erase(row->checkpoint);
+  }
   checkpoints_by_fn_.erase(it);
 }
 
 void MetadataStore::insert_replica(ReplicationInfoRow row) {
-  CANARY_CHECK(replicas_.find(row.replica) == replicas_.end(),
-               "duplicate replica row");
-  replicas_.emplace(row.replica, std::move(row));
+  const ReplicaId id = row.replica;
+  auto [it, inserted] = replicas_.emplace(id, std::move(row));
+  CANARY_CHECK(inserted, "duplicate replica row");
+  ReplicationInfoRow* stored = &it->second;
+  replica_by_container_[stored->container] = stored;
+  auto& live = live_replicas_[stored->runtime];
+  // Ids are issued in increasing order, so this is nearly always the end.
+  auto pos = live.end();
+  while (pos != live.begin() && (*std::prev(pos))->replica > id) --pos;
+  live.insert(pos, stored);
 }
 
 ReplicationInfoRow* MetadataStore::mutable_replica(ReplicaId id) {
@@ -122,25 +141,21 @@ ReplicationInfoRow* MetadataStore::mutable_replica(ReplicaId id) {
 }
 
 ReplicationInfoRow* MetadataStore::replica_by_container(ContainerId id) {
-  for (auto& [rid, row] : replicas_) {
-    if (row.container == id && row.status != ReplicaStatus::kDead) {
-      return &row;
-    }
-  }
-  return nullptr;
+  auto it = replica_by_container_.find(id);
+  if (it == replica_by_container_.end()) return nullptr;
+  return it->second->status == ReplicaStatus::kDead ? nullptr : it->second;
 }
 
-std::vector<const ReplicationInfoRow*> MetadataStore::replicas_of(
-    faas::RuntimeImage image) const {
-  std::vector<const ReplicationInfoRow*> rows;
-  for (const auto& [rid, row] : replicas_) {
-    if (row.runtime == image) rows.push_back(&row);
-  }
-  std::sort(rows.begin(), rows.end(),
-            [](const ReplicationInfoRow* a, const ReplicationInfoRow* b) {
-              return a->replica < b->replica;
-            });
-  return rows;
+const std::vector<ReplicationInfoRow*>& MetadataStore::live_replicas_of(
+    faas::RuntimeImage image) {
+  auto& live = live_replicas_[image];
+  live.erase(std::remove_if(live.begin(), live.end(),
+                            [](const ReplicationInfoRow* row) {
+                              return row->status == ReplicaStatus::kConsumed ||
+                                     row->status == ReplicaStatus::kDead;
+                            }),
+             live.end());
+  return live;
 }
 
 }  // namespace canary::core

@@ -11,6 +11,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cluster/node.hpp"
@@ -106,28 +107,83 @@ class MetadataStore {
   std::vector<const FunctionInfoRow*> functions_of_job(JobId id) const;
 
   // -- checkpoint_info ---------------------------------------------------
+  // Each function's rows are indexed oldest-first by state index as they
+  // are inserted, so no lookup below scans or sorts.
+
+  /// Insert `row` at its state-index position (after equal indices).
   void insert_checkpoint(CheckpointInfoRow row);
+  /// Algorithm 1's commit: insert `row`, replacing the function's row of
+  /// the same state (a recommit after a restore), then drop the oldest
+  /// rows by state index until at most `retention` remain — the new row
+  /// too, if it is the oldest. `evicted` sees each dropped row just
+  /// before it is erased; the replaced row is not passed to it.
+  template <typename Evicted>
+  void commit_checkpoint(CheckpointInfoRow row, unsigned retention,
+                         Evicted&& evicted);
   void remove_checkpoint(CheckpointId id);
   CheckpointInfoRow* mutable_checkpoint(CheckpointId id);
-  /// Rows for `fn`, ordered oldest-first by state index.
-  std::vector<const CheckpointInfoRow*> checkpoints_of(FunctionId fn) const;
+  /// Rows for `fn`, ordered oldest-first by state index. The reference
+  /// stays valid until the next write to `fn`'s checkpoints.
+  const std::vector<const CheckpointInfoRow*>& checkpoints_of(
+      FunctionId fn) const;
   std::size_t checkpoint_count(FunctionId fn) const;
+  /// Latest-n bound stored beside `fn`'s rows (0 = not yet set), so it is
+  /// computed once per function and freed by remove_checkpoints_of.
+  unsigned& checkpoint_retention(FunctionId fn);
   void remove_checkpoints_of(FunctionId fn);
 
   // -- replication_info --------------------------------------------------
+  // Replica status only moves forward: kLaunching -> kActive, and from
+  // either to kConsumed or kDead, which are terminal. So each image keeps
+  // a list of rows that were live when last read, in replica-id order,
+  // and drops terminal rows the next time it is read.
+
   void insert_replica(ReplicationInfoRow row);
   ReplicationInfoRow* mutable_replica(ReplicaId id);
+  /// The row owning `id`, unless that row is kDead.
   ReplicationInfoRow* replica_by_container(ContainerId id);
-  std::vector<const ReplicationInfoRow*> replicas_of(
-      faas::RuntimeImage image) const;
+  /// kLaunching and kActive rows of `image`, lowest replica id first —
+  /// the order every tie-break in the Runtime Manager relies on. The
+  /// reference stays valid until the next replica insert or read.
+  const std::vector<ReplicationInfoRow*>& live_replicas_of(
+      faas::RuntimeImage image);
 
  private:
+  struct FunctionCheckpoints {
+    std::vector<const CheckpointInfoRow*> rows;  // oldest state first
+    unsigned retention = 0;
+  };
+
+  void erase_checkpoint_row(FunctionCheckpoints& per_fn, std::size_t pos);
+
   std::unordered_map<NodeId, WorkerInfoRow> workers_;
   std::unordered_map<JobId, JobInfoRow> jobs_;
   std::unordered_map<FunctionId, FunctionInfoRow> functions_;
+  // Row pointers into the node-based maps stay valid until the row is
+  // erased.
   std::unordered_map<CheckpointId, CheckpointInfoRow> checkpoints_;
-  std::unordered_map<FunctionId, std::vector<CheckpointId>> checkpoints_by_fn_;
+  std::unordered_map<FunctionId, FunctionCheckpoints> checkpoints_by_fn_;
   std::unordered_map<ReplicaId, ReplicationInfoRow> replicas_;
+  std::unordered_map<ContainerId, ReplicationInfoRow*> replica_by_container_;
+  std::unordered_map<faas::RuntimeImage, std::vector<ReplicationInfoRow*>>
+      live_replicas_;
 };
+
+template <typename Evicted>
+void MetadataStore::commit_checkpoint(CheckpointInfoRow row,
+                                      unsigned retention, Evicted&& evicted) {
+  FunctionCheckpoints& per_fn = checkpoints_by_fn_[row.function];
+  for (std::size_t i = 0; i < per_fn.rows.size(); ++i) {
+    if (per_fn.rows[i]->state_index == row.state_index) {
+      erase_checkpoint_row(per_fn, i);
+      break;
+    }
+  }
+  insert_checkpoint(std::move(row));
+  while (per_fn.rows.size() > retention) {
+    evicted(*per_fn.rows.front());
+    erase_checkpoint_row(per_fn, 0);
+  }
+}
 
 }  // namespace canary::core

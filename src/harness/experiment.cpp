@@ -16,10 +16,9 @@ void Aggregate::add(const RunResult& run) {
   for (const auto& [name, value] : run.counters) counter_sums[name] += value;
   metrics.merge(run.metrics);
   breakdown.merge(run.breakdown);
-  span_health.merge({run.spans_recorded, run.spans_dropped});
-  obs::RecorderHealth events{run.events_recorded, run.events_dropped};
-  events.dropped_by_kind = run.events_dropped_by_kind;
-  event_health.merge(events);
+  span_health.merge({run.spans_recorded, run.spans_dropped, {}});
+  event_health.merge({run.events_recorded, run.events_dropped,
+                      run.events_dropped_by_kind});
   tail.merge(run.tail);
   timeseries.merge(run.timeseries);
   if (!run.completed) ++incomplete_runs;

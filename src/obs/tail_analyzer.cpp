@@ -74,6 +74,7 @@ TailReport TailAnalyzer::analyze(const TailConfig& config) const {
     }
     report.groups.push_back(std::move(group));
   }
+  resolve_chains(report);
   // std::map iteration is already name-ordered; the sort documents the
   // invariant merge() relies on.
   std::sort(report.groups.begin(), report.groups.end(),
@@ -117,29 +118,62 @@ TailAttribution TailAnalyzer::attribute(const Histogram& hist,
     out.components = it->second.end_to_end;
     out.attributed_s = out.components.total();
   }
+  return out;
+}
 
-  // Chain resolution: every event of the representative's trace, with
+void TailAnalyzer::resolve_chains(TailReport& report) const {
+  // Chain resolution: every event of a representative's trace, with
   // parents resolving inside the log, anchored by a lifecycle root
-  // (queued/submit) and terminated by a completion.
-  const TraceId trace{representative.trace};
-  bool rooted = false;
-  bool completed = false;
-  bool parents_ok = true;
-  for (const Event& event : log_->events()) {
-    if (event.trace != trace) continue;
-    ++out.chain_events;
-    if (event.kind == EventKind::kQueued ||
-        event.kind == EventKind::kSubmit) {
-      rooted = true;
-    }
-    if (event.kind == EventKind::kComplete) completed = true;
-    if (event.parent != kNoEvent && log_->find(event.parent) == nullptr) {
-      parents_ok = false;
+  // (queued/submit) and terminated by a completion. Percentiles often
+  // share a representative, and the log can hold a million events, so
+  // all chains are tallied in one pass over it.
+  struct Chain {
+    std::uint64_t events = 0;
+    bool rooted = false;
+    bool completed = false;
+    bool parents_ok = true;
+  };
+  std::vector<TraceId> traces;
+  for (const TailGroup& group : report.groups) {
+    for (const TailAttribution& a : group.percentiles) {
+      if (a.has_exemplar) traces.push_back(TraceId{a.trace});
     }
   }
-  out.chain_complete =
-      rooted && completed && parents_ok && out.chain_events > 0;
-  return out;
+  std::sort(traces.begin(), traces.end());
+  traces.erase(std::unique(traces.begin(), traces.end()), traces.end());
+  if (traces.empty()) return;
+  const auto index_of = [&traces](TraceId trace) {
+    const auto it = std::lower_bound(traces.begin(), traces.end(), trace);
+    return it != traces.end() && *it == trace
+               ? static_cast<std::size_t>(it - traces.begin())
+               : traces.size();
+  };
+
+  std::vector<Chain> chains(traces.size());
+  for (const Event& event : log_->events()) {
+    const std::size_t i = index_of(event.trace);
+    if (i == traces.size()) continue;
+    Chain& chain = chains[i];
+    ++chain.events;
+    if (event.kind == EventKind::kQueued ||
+        event.kind == EventKind::kSubmit) {
+      chain.rooted = true;
+    }
+    if (event.kind == EventKind::kComplete) chain.completed = true;
+    if (event.parent != kNoEvent && log_->find(event.parent) == nullptr) {
+      chain.parents_ok = false;
+    }
+  }
+
+  for (TailGroup& group : report.groups) {
+    for (TailAttribution& a : group.percentiles) {
+      if (!a.has_exemplar) continue;
+      const Chain& chain = chains[index_of(TraceId{a.trace})];
+      a.chain_events = chain.events;
+      a.chain_complete = chain.rooted && chain.completed &&
+                         chain.parents_ok && chain.events > 0;
+    }
+  }
 }
 
 }  // namespace canary::obs

@@ -105,7 +105,12 @@ class TailAnalyzer {
   TailReport analyze(const TailConfig& config) const;
 
  private:
+  /// Pick the representative for one percentile and partition its
+  /// latency; its chain fields are left for resolve_chains().
   TailAttribution attribute(const Histogram& hist, double percentile) const;
+  /// Fill chain_events/chain_complete of every representative in
+  /// `report` in a single pass over the event log.
+  void resolve_chains(TailReport& report) const;
 
   const MetricRegistry* metrics_;
   const EventLog* log_;

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <vector>
 
 #include "canary/checkpointing.hpp"
 #include "cluster/network.hpp"
@@ -133,6 +134,24 @@ TEST_F(CheckpointingTest, RetentionKeepsLatestN) {
   EXPECT_TRUE(store_.contains(CheckpointingModule::kv_key(inv.id, 5)));
 }
 
+TEST_F(CheckpointingTest, CommitsKeepEachFunctionsOwnRetention) {
+  auto module = make_module();
+  // Fast small states keep 5, slow ones 3: the bound is per function.
+  const auto fast = spec_with_payload(Bytes::kib(16), 8, Duration::msec(200));
+  const auto slow = spec_with_payload(Bytes::kib(16), 8, Duration::sec(3.0));
+  const auto fast_inv = invocation_for(fast, 1);
+  const auto slow_inv = invocation_for(slow, 2);
+  for (std::size_t i = 0; i < 8; ++i) {
+    module.on_state_committed(fast_inv, i);
+    module.on_state_committed(slow_inv, i);
+  }
+  EXPECT_EQ(metadata_.checkpoint_count(fast_inv.id), 5u);
+  EXPECT_EQ(metadata_.checkpoint_retention(fast_inv.id), 5u);
+  EXPECT_EQ(metadata_.checkpoints_of(fast_inv.id).front()->state_index, 3u);
+  EXPECT_EQ(metadata_.checkpoint_count(slow_inv.id), 3u);
+  EXPECT_EQ(metadata_.checkpoints_of(slow_inv.id).front()->state_index, 5u);
+}
+
 TEST_F(CheckpointingTest, DynamicRetentionAdapts) {
   auto module = make_module();
   // Oversized payloads: keep fewer.
@@ -184,6 +203,33 @@ TEST_F(CheckpointingTest, RecommitReplacesRow) {
   EXPECT_EQ(metadata_.checkpoint_count(inv.id), 1u);
 }
 
+TEST_F(CheckpointingTest, RestoredRecommitKeepsStateOrderAndTrimsOldest) {
+  auto module = make_module();
+  // Slow states (3s) => retention 3.
+  const auto spec = spec_with_payload(Bytes::mib(1), /*states=*/6);
+  const auto inv = invocation_for(spec);
+  for (std::size_t i = 0; i < 4; ++i) module.on_state_committed(inv, i);
+  // Rows hold states 1..3. The function restores from state 1 and
+  // re-executes state 2, then an older state 0 is recommitted.
+  module.on_state_committed(inv, 2);
+  module.on_state_committed(inv, 0);
+  std::vector<std::size_t> states;
+  std::vector<CheckpointId> ids;
+  for (const auto* row : metadata_.checkpoints_of(inv.id)) {
+    states.push_back(row->state_index);
+    ids.push_back(row->checkpoint);
+  }
+  // State 0 was the oldest by state index, so the trim dropped it again
+  // (with its KV entry); state 2's recommit replaced its row in place.
+  EXPECT_EQ(states, (std::vector<std::size_t>{1, 2, 3}));
+  ASSERT_EQ(ids.size(), 3u);
+  EXPECT_LT(ids[0], ids[2]);
+  EXPECT_GT(ids[1], ids[2]);  // the recommit is the newest row
+  EXPECT_FALSE(store_.contains(CheckpointingModule::kv_key(inv.id, 0)));
+  EXPECT_TRUE(store_.contains(CheckpointingModule::kv_key(inv.id, 2)));
+  EXPECT_EQ(metrics_.counter("checkpoints_written"), 6.0);
+}
+
 TEST_F(CheckpointingTest, UnflushedLocalCheckpointDiesWithNode) {
   auto module = make_module();
   const auto spec = spec_with_payload(Bytes::mib(98), /*states=*/4);
@@ -229,8 +275,10 @@ TEST_F(CheckpointingTest, DropFunctionClearsEverything) {
   const auto inv = invocation_for(spec);
   module.on_state_committed(inv, 0);
   module.on_state_committed(inv, 1);
+  EXPECT_EQ(metadata_.checkpoint_retention(inv.id), module.retention_for(spec));
   module.drop_function(inv.id);
   EXPECT_EQ(metadata_.checkpoint_count(inv.id), 0u);
+  EXPECT_EQ(metadata_.checkpoint_retention(inv.id), 0u);  // freed too
   EXPECT_EQ(store_.size(), 0u);
   EXPECT_EQ(module.restore_plan(inv.id, NodeId{1}).from_state, 0u);
 }

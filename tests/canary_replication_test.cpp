@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <vector>
 
 #include "canary/replication.hpp"
 #include "canary/runtime_manager.hpp"
@@ -107,6 +108,28 @@ TEST_F(ReplicationTest, AcquirePrefersLocality) {
   EXPECT_EQ(third->worker, NodeId{5});
   EXPECT_FALSE(
       manager_.acquire(faas::RuntimeImage::kPython3, NodeId{1}).has_value());
+}
+
+TEST_F(ReplicationTest, AcquireTieGoesToLowestReplicaId) {
+  // Three equally scored replicas (none near the preferred node), and the
+  // lowest replica id does not sit on the lowest node id.
+  std::vector<ReplicaId> ids;
+  for (const std::uint64_t node : {8u, 6u, 7u}) {
+    ids.push_back(manager_.register_replica(
+        faas::RuntimeImage::kPython3, NodeId{node}, ContainerId{node}));
+    manager_.mark_active(ContainerId{node});
+  }
+  const auto first = manager_.acquire(faas::RuntimeImage::kPython3, NodeId{1});
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->replica, ids[0]);
+  EXPECT_EQ(first->worker, NodeId{8});
+  manager_.mark_dead(ContainerId{6});  // the next-lowest id dies
+  const auto second =
+      manager_.acquire(faas::RuntimeImage::kPython3, std::nullopt);
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->replica, ids[2]);
+  EXPECT_FALSE(
+      manager_.acquire(faas::RuntimeImage::kPython3, std::nullopt).has_value());
 }
 
 TEST_F(ReplicationTest, AcquireSkipsDeadNodes) {

@@ -238,7 +238,9 @@ void add_hedging(harness::ScenarioConfig& config) {
   hedge.initial_delay = Duration::msec(800);
   hedge.max_outstanding = 8;
   config.strategy = recovery::StrategyConfig::hedged(hedge);
-  config.gray_failures.push_back({Duration::sec(3.0)});
+  harness::ScenarioConfig::GrayFailure gray;
+  gray.at = Duration::sec(3.0);
+  config.gray_failures.push_back(gray);
 }
 
 void add_attribution(harness::ScenarioConfig& config) {

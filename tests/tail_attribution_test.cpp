@@ -12,6 +12,8 @@
 
 #include "harness/experiment.hpp"
 #include "harness/scenario.hpp"
+#include "obs/critical_path.hpp"
+#include "obs/event_log.hpp"
 #include "obs/report.hpp"
 #include "obs/tail_analyzer.hpp"
 #include "recovery/strategies.hpp"
@@ -171,6 +173,98 @@ TEST(TailAttributionTest, RepetitionMergeIsDeterministicAndAssociative) {
       EXPECT_DOUBLE_EQ(x.latency_s, y.latency_s);
     }
   }
+}
+
+// Brute-force chain resolution of one trace: the definition the
+// analyzer's single shared pass over the log must reproduce.
+struct BruteChain {
+  std::uint64_t events = 0;
+  bool complete = false;
+};
+
+BruteChain brute_force_chain(const obs::EventLog& log, std::uint64_t trace) {
+  BruteChain chain;
+  bool rooted = false;
+  bool completed = false;
+  bool parents_ok = true;
+  for (const obs::Event& event : log.events()) {
+    if (event.trace.value() != trace) continue;
+    ++chain.events;
+    rooted = rooted || event.kind == obs::EventKind::kQueued ||
+             event.kind == obs::EventKind::kSubmit;
+    completed = completed || event.kind == obs::EventKind::kComplete;
+    if (event.parent != obs::kNoEvent && log.find(event.parent) == nullptr) {
+      parents_ok = false;
+    }
+  }
+  chain.complete = rooted && completed && parents_ok && chain.events > 0;
+  return chain;
+}
+
+TEST(TailAttributionTest, ChainsResolveInOnePassLikeAPerTraceScan) {
+  // Seven slots: trace A's whole chain fits; trace B's completion is the
+  // eighth event and falls to the capacity cap; trace C completes but its
+  // root names a parent outside the log.
+  obs::EventLog log(7);
+  obs::TraceContext a{log.new_trace()};
+  obs::TraceContext b{log.new_trace()};
+  obs::TraceContext c{log.new_trace()};
+  const TimePoint t0 = TimePoint::origin();
+  log.extend(a, obs::EventKind::kSubmit, "submit", t0);
+  log.extend(b, obs::EventKind::kSubmit, "submit", t0);
+  c.last = log.append_raw(c.trace, /*parent=*/99, obs::EventKind::kSubmit,
+                          "submit", t0);
+  log.extend(a, obs::EventKind::kExec, "exec", t0 + Duration::sec(1.0));
+  log.extend(a, obs::EventKind::kComplete, "complete", t0 + Duration::sec(2.0));
+  log.extend(c, obs::EventKind::kComplete, "complete", t0 + Duration::sec(2.0));
+  log.extend(b, obs::EventKind::kExec, "exec", t0 + Duration::sec(1.0));
+  EXPECT_EQ(log.extend(b, obs::EventKind::kComplete, "complete",
+                       t0 + Duration::sec(3.0)),
+            obs::kNoEvent);
+  ASSERT_TRUE(log.truncated());
+
+  // One sample per histogram, so every percentile of a histogram shares
+  // its representative.
+  obs::MetricRegistry metrics;
+  obs::TailConfig config;
+  config.enabled = true;
+  config.percentiles = {50.0, 99.0};
+  metrics.enable_exemplars("latency.a", config.exemplar_config());
+  metrics.enable_exemplars("latency.b", config.exemplar_config());
+  metrics.enable_exemplars("latency.c", config.exemplar_config());
+  metrics.sample_traced("latency.a", 2.0, a.trace.value(), 1);
+  metrics.sample_traced("latency.b", 3.0, b.trace.value(), 2);
+  metrics.sample_traced("latency.c", 2.0, c.trace.value(), 3);
+
+  const obs::CriticalPathAnalyzer paths(log);
+  const obs::TailReport report =
+      obs::TailAnalyzer(metrics, log, paths).analyze(config);
+  ASSERT_EQ(report.groups.size(), 3u);
+  for (const obs::TailGroup& group : report.groups) {
+    ASSERT_EQ(group.percentiles.size(), 2u) << group.metric;
+    const obs::TailAttribution& p50 = group.percentiles[0];
+    const obs::TailAttribution& p99 = group.percentiles[1];
+    ASSERT_TRUE(p50.has_exemplar && p99.has_exemplar) << group.metric;
+    EXPECT_EQ(p50.trace, p99.trace) << group.metric;
+    EXPECT_EQ(p50.chain_events, p99.chain_events) << group.metric;
+    for (const obs::TailAttribution* attribution : {&p50, &p99}) {
+      const BruteChain brute = brute_force_chain(log, attribution->trace);
+      EXPECT_EQ(attribution->chain_events, brute.events) << group.metric;
+      EXPECT_EQ(attribution->chain_complete, brute.complete) << group.metric;
+    }
+  }
+  const obs::TailAttribution& kept = report.groups[0].percentiles[0];
+  const obs::TailAttribution& cut = report.groups[1].percentiles[0];
+  EXPECT_EQ(kept.trace, a.trace.value());
+  EXPECT_EQ(kept.chain_events, 3u);
+  EXPECT_TRUE(kept.chain_complete);
+  EXPECT_EQ(cut.trace, b.trace.value());
+  EXPECT_EQ(cut.chain_events, 2u);
+  EXPECT_FALSE(cut.chain_complete) << "a chain that lost its completion";
+  const obs::TailAttribution& dangling = report.groups[2].percentiles[0];
+  EXPECT_EQ(dangling.trace, c.trace.value());
+  EXPECT_EQ(dangling.chain_events, 2u);
+  EXPECT_FALSE(dangling.chain_complete) << "a parent outside the log";
 }
 
 }  // namespace
