@@ -16,13 +16,7 @@
 // guaranteed node failure lands mid-race, and the hedge exactly-once
 // oracle checks that every fired hedge resolves exactly once.
 //
-// A fourth family runs the base scenarios sharded over the conservative
-// parallel engine (4 partitions x 4 worker threads, cluster grown 4x so
-// each partition keeps a base-sized slice): cross-shard KV mirroring and
-// completion beacons ride along, and all eight oracles are evaluated
-// inside every partition plus on the merged scalars.
-//
-// A fifth family injects the partition surface: long zone bipartitions
+// A fourth family injects the partition surface: long zone bipartitions
 // that fence a minority fault domain, short asymmetric windows (one-way
 // heartbeat loss that must un-suspect on heal), and correlated zone
 // outages racing the cuts, with fault-domain-aware placement on for half
@@ -30,11 +24,10 @@
 // attempted by a fenced minority-side zombie is rejected at the store's
 // epoch gate) and heal-convergence (all windows healed, no reachability
 // rule outlives the run, metadata liveness views agree at the end).
-// Every fourth partition seed runs sharded over the parallel engine.
 //
 // Usage: chaos_campaign [--quick] [--scenarios N] [--seed BASE]
 //                       [--traffic-scenarios N] [--hedge-scenarios N]
-//                       [--sharded-scenarios N] [--partition-scenarios N]
+//                       [--partition-scenarios N]
 // Environment: CANARY_QUICK=1 (same as --quick), CANARY_REPORT_DIR.
 #include <algorithm>
 #include <cstdlib>
@@ -93,12 +86,10 @@ int main(int argc, char** argv) {
   std::size_t scenarios = 0;          // 0 = derive from quick flag below
   std::size_t traffic_scenarios = 0;  // 0 = derive from quick flag below
   std::size_t hedge_scenarios = 0;    // 0 = derive from quick flag below
-  std::size_t sharded_scenarios = 0;  // 0 = derive from quick flag below
   std::size_t partition_scenarios = 0;  // 0 = derive from quick flag below
   std::uint64_t base_seed = 90001;
   std::uint64_t traffic_base_seed = 70001;
   std::uint64_t hedge_base_seed = 50001;
-  std::uint64_t sharded_base_seed = 30001;
   std::uint64_t partition_base_seed = 10001;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -112,39 +103,32 @@ int main(int argc, char** argv) {
       traffic_scenarios = static_cast<std::size_t>(std::atoll(argv[++i]));
     } else if (arg == "--hedge-scenarios" && i + 1 < argc) {
       hedge_scenarios = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (arg == "--sharded-scenarios" && i + 1 < argc) {
-      sharded_scenarios = static_cast<std::size_t>(std::atoll(argv[++i]));
     } else if (arg == "--partition-scenarios" && i + 1 < argc) {
       partition_scenarios = static_cast<std::size_t>(std::atoll(argv[++i]));
     } else {
       std::cerr << "usage: chaos_campaign [--quick] [--scenarios N] "
                    "[--seed BASE] [--traffic-scenarios N] "
-                   "[--hedge-scenarios N] [--sharded-scenarios N] "
-                   "[--partition-scenarios N]\n";
+                   "[--hedge-scenarios N] [--partition-scenarios N]\n";
       return 2;
     }
   }
   if (scenarios == 0) scenarios = quick ? 24 : 240;
   if (traffic_scenarios == 0) traffic_scenarios = quick ? 12 : 120;
   if (hedge_scenarios == 0) hedge_scenarios = quick ? 12 : 120;
-  if (sharded_scenarios == 0) sharded_scenarios = quick ? 8 : 64;
   if (partition_scenarios == 0) partition_scenarios = quick ? 8 : 64;
 
   std::cout << "chaos campaign: " << scenarios << " scenarios, base seed "
             << base_seed << " + " << traffic_scenarios
             << " traffic scenarios, base seed " << traffic_base_seed << " + "
             << hedge_scenarios << " hedge scenarios, base seed "
-            << hedge_base_seed << " + " << sharded_scenarios
-            << " sharded scenarios, base seed " << sharded_base_seed << " + "
-            << partition_scenarios << " partition scenarios, base seed "
-            << partition_base_seed << (quick ? " (quick)" : "") << "\n";
+            << hedge_base_seed << " + " << partition_scenarios
+            << " partition scenarios, base seed " << partition_base_seed
+            << (quick ? " (quick)" : "") << "\n";
 
   // Seeded scenarios are independent; run them in parallel batches. The
-  // traffic and hedge families ride in the same pool, indexed past the
-  // base family.
+  // other families ride in the same pool, indexed past the base family.
   const std::size_t total_scenarios = scenarios + traffic_scenarios +
-                                      hedge_scenarios + sharded_scenarios +
-                                      partition_scenarios;
+                                      hedge_scenarios + partition_scenarios;
   std::vector<ChaosOutcome> outcomes(total_scenarios);
   const std::size_t workers = std::max(1u, std::thread::hardware_concurrency());
   std::size_t next = 0;
@@ -158,23 +142,13 @@ int main(int argc, char** argv) {
         kBase,
         kTraffic,
         kHedge,
-        kSharded,
         kPartition,
-        kShardedPartition,
       };
       Family family = Family::kBase;
       std::uint64_t seed = base_seed + index;
-      if (index >=
-          scenarios + traffic_scenarios + hedge_scenarios + sharded_scenarios) {
-        const std::size_t off = index - scenarios - traffic_scenarios -
-                                hedge_scenarios - sharded_scenarios;
-        // Every fourth partition seed runs sharded over the parallel
-        // engine, so the split-brain oracles also cover cross-shard runs.
-        family = off % 4 == 3 ? Family::kShardedPartition : Family::kPartition;
-        seed = partition_base_seed + off;
-      } else if (index >= scenarios + traffic_scenarios + hedge_scenarios) {
-        family = Family::kSharded;
-        seed = sharded_base_seed +
+      if (index >= scenarios + traffic_scenarios + hedge_scenarios) {
+        family = Family::kPartition;
+        seed = partition_base_seed +
                (index - scenarios - traffic_scenarios - hedge_scenarios);
       } else if (index >= scenarios + traffic_scenarios) {
         family = Family::kHedge;
@@ -189,12 +163,8 @@ int main(int argc, char** argv) {
             return canary::harness::run_traffic_chaos_scenario(seed);
           case Family::kHedge:
             return canary::harness::run_hedge_chaos_scenario(seed);
-          case Family::kSharded:
-            return canary::harness::run_sharded_chaos_scenario(seed);
           case Family::kPartition:
             return canary::harness::run_partition_chaos_scenario(seed);
-          case Family::kShardedPartition:
-            return canary::harness::run_sharded_partition_chaos_scenario(seed);
           case Family::kBase: break;
         }
         return canary::harness::run_chaos_scenario(seed);
@@ -256,7 +226,6 @@ int main(int argc, char** argv) {
   table.add_row({"scenarios", std::to_string(scenarios)});
   table.add_row({"traffic scenarios", std::to_string(traffic_scenarios)});
   table.add_row({"hedge scenarios", std::to_string(hedge_scenarios)});
-  table.add_row({"sharded scenarios", std::to_string(sharded_scenarios)});
   table.add_row({"partition scenarios", std::to_string(partition_scenarios)});
   table.add_row({"function failures", canary::TextTable::num(total_failures, 0)});
   table.add_row({"node kills", std::to_string(node_kills)});
@@ -313,8 +282,6 @@ int main(int argc, char** argv) {
   os << "    \"traffic_base_seed\": " << traffic_base_seed << ",\n";
   os << "    \"hedge_scenarios\": " << hedge_scenarios << ",\n";
   os << "    \"hedge_base_seed\": " << hedge_base_seed << ",\n";
-  os << "    \"sharded_scenarios\": " << sharded_scenarios << ",\n";
-  os << "    \"sharded_base_seed\": " << sharded_base_seed << ",\n";
   os << "    \"partition_scenarios\": " << partition_scenarios << ",\n";
   os << "    \"partition_base_seed\": " << partition_base_seed << "\n";
   os << "  },\n";

@@ -25,12 +25,9 @@
 // recovery time in at least one configuration.
 //
 // Emits a machine-readable canary.partition/v1 report. The report is
-// byte-identical across repeated runs and across engine worker counts
-// (--shard-workers N runs the scenario sharded over the parallel engine
-// with the partition count pinned; the worker count is deliberately kept
-// out of the report so the bytes can be compared). Violations exit 1.
+// byte-identical across repeated runs. Violations exit 1.
 //
-// Usage: fig13_partitions [--quick] [--shard-workers N]
+// Usage: fig13_partitions [--quick]
 // Environment: CANARY_QUICK=1 (same as --quick), CANARY_REPORT_DIR.
 #include <cstdlib>
 #include <fstream>
@@ -84,12 +81,10 @@ constexpr Variant kVariants[] = {
 
 /// Long-running functions so the fault window lands mid-execution on
 /// every variant: ~3.8 s of state work per function, 30 functions over
-/// 12 nodes. `copies` scales the job list for sharded execution — the
-/// engine round-robins jobs over its slices, so 4 copies give each of
-/// the 4 slices the same 30-function load the monolithic cluster sees.
-std::vector<canary::faas::JobSpec> make_jobs(int copies) {
+/// 12 nodes.
+std::vector<canary::faas::JobSpec> make_jobs() {
   std::vector<canary::faas::JobSpec> jobs;
-  for (int j = 0; j < 3 * copies; ++j) {
+  for (int j = 0; j < 3; ++j) {
     canary::faas::JobSpec job;
     job.name = "fig13-job-" + std::to_string(j);
     job.account = canary::AccountId{1};
@@ -112,7 +107,7 @@ std::vector<canary::faas::JobSpec> make_jobs(int copies) {
 }
 
 ScenarioConfig variant_config(const Variant& variant, bool spread,
-                              unsigned shard_workers, std::uint64_t seed) {
+                              std::uint64_t seed) {
   ScenarioConfig config;
   config.seed = seed;
   config.cluster_nodes = kNodes;
@@ -149,17 +144,6 @@ ScenarioConfig variant_config(const Variant& variant, bool spread,
     outage.zone = kFaultZone;
     config.zone_outages.push_back(outage);
   }
-
-  if (shard_workers > 0) {
-    // Sharded execution for the worker-count byte-identity check: the
-    // partition count fixes the model (4 slices, each a full 12-node /
-    // 3-zone replica of the monolithic cluster); the worker count must
-    // not change a single output byte.
-    config.sharding.enabled = true;
-    config.sharding.partitions = 4;
-    config.sharding.workers = shard_workers;
-    config.cluster_nodes = kNodes * 4;
-  }
   return config;
 }
 
@@ -180,15 +164,13 @@ struct StrategyResult {
   bool completed = true;
 };
 
-StrategyResult run_strategy(const Variant& variant, bool spread,
-                            unsigned shard_workers, int reps) {
+StrategyResult run_strategy(const Variant& variant, bool spread, int reps) {
   StrategyResult out;
   out.name = spread ? "domain_aware" : "domain_blind";
-  const std::vector<canary::faas::JobSpec> jobs =
-      make_jobs(shard_workers > 0 ? 4 : 1);
+  const std::vector<canary::faas::JobSpec> jobs = make_jobs();
   for (int rep = 0; rep < reps; ++rep) {
     const RunResult result = ScenarioRunner::run(
-        variant_config(variant, spread, shard_workers,
+        variant_config(variant, spread,
                        kSeed + static_cast<std::uint64_t>(rep)),
         jobs);
     out.recovery_s += result.total_recovery_s;
@@ -238,15 +220,12 @@ void write_strategy_json(std::ostream& os, const std::string& indent,
 
 int main(int argc, char** argv) {
   bool quick = quick_mode();
-  unsigned shard_workers = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--quick") {
       quick = true;
-    } else if (arg == "--shard-workers" && i + 1 < argc) {
-      shard_workers = static_cast<unsigned>(std::atoi(argv[++i]));
     } else {
-      std::cerr << "usage: fig13_partitions [--quick] [--shard-workers N]\n";
+      std::cerr << "usage: fig13_partitions [--quick]\n";
       return 2;
     }
   }
@@ -254,9 +233,7 @@ int main(int argc, char** argv) {
   const int reps = quick ? 2 : 3;
   std::cout << "partition surface: " << kNodes << " nodes / 3 zones, 30 "
                "functions, zone outage + bipartition + combined, "
-            << reps << " reps"
-            << (shard_workers > 0 ? " (sharded)" : "")
-            << (quick ? " (quick)" : "") << "\n\n";
+            << reps << " reps" << (quick ? " (quick)" : "") << "\n\n";
 
   struct VariantResult {
     const Variant* variant;
@@ -268,8 +245,8 @@ int main(int argc, char** argv) {
   for (const Variant& variant : kVariants) {
     VariantResult vr;
     vr.variant = &variant;
-    vr.blind = run_strategy(variant, false, shard_workers, reps);
-    vr.aware = run_strategy(variant, true, shard_workers, reps);
+    vr.blind = run_strategy(variant, false, reps);
+    vr.aware = run_strategy(variant, true, reps);
     vr.reduction_pct =
         vr.blind.recovery_s > 0.0
             ? 100.0 * (vr.blind.recovery_s - vr.aware.recovery_s) /

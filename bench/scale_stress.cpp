@@ -13,23 +13,14 @@
 //   platform_scale  >= 1M invocations across 256 nodes through the full
 //                   FaaS platform (quick mode: 32k across 64 nodes)
 //
-// A second sweep reruns the platform phase over the sharded engine (the
-// same topology split into 8 partitions) at 1, 2 and 4 worker threads
-// and writes its own canary.bench/v1 report (BENCH_shard.json, gated
-// against bench/BENCH_shard.baseline.json in CI). The merged event count
-// is invariant in the worker count by construction, so the phases
-// measure pure scheduling overhead/parallelism, not different workloads.
-//
 // Allocation counts come from interposing global operator new in this
 // binary, so allocations/event is exact, not sampled. Peak RSS comes
 // from getrusage(RUSAGE_SELF).
 //
-// Usage: scale_stress [--quick] [--out=PATH] [--shard-out=PATH]
+// Usage: scale_stress [--quick] [--out=PATH]
 //   --quick       shrink the workload for CI smoke runs (also CANARY_QUICK=1)
 //   --out=PATH    write the JSON report to PATH (default:
 //                 $CANARY_REPORT_DIR/BENCH_scale.json or ./BENCH_scale.json)
-//   --shard-out=PATH  write the shard-sweep report to PATH (default:
-//                 $CANARY_REPORT_DIR/BENCH_shard.json or ./BENCH_shard.json)
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -252,54 +243,8 @@ PhaseResult platform_scale(std::size_t nodes, std::size_t jobs,
   return result;
 }
 
-/// The platform phase over the sharded engine: the same topology split
-/// into 8 partitions, advanced by `workers` threads with the default
-/// 5 ms harness lookahead. The merged simulated event total is invariant
-/// in `workers` (the determinism suite proves it byte-for-byte), so the
-/// per-worker-count phases compare like against like.
-PhaseResult platform_shard(std::size_t nodes, std::size_t jobs,
-                           std::size_t functions_per_job, unsigned workers) {
-  harness::ScenarioConfig config =
-      scenario(recovery::StrategyConfig::retry(), /*error_rate=*/0.02, nodes);
-  config.record_spans = false;
-  config.record_events = false;
-  config.sharding.enabled = true;
-  config.sharding.partitions = 8;
-  config.sharding.workers = workers;
-
-  std::vector<faas::JobSpec> batch;
-  batch.reserve(jobs);
-  for (std::size_t j = 0; j < jobs; ++j) {
-    batch.push_back(workloads::make_job(workloads::WorkloadKind::kWebService,
-                                        functions_per_job,
-                                        "scale_" + std::to_string(j)));
-  }
-
-  const std::uint64_t alloc_start = allocations_now();
-  const auto start = std::chrono::steady_clock::now();
-  const harness::RunResult run = harness::ScenarioRunner::run(config, batch);
-  PhaseResult result;
-  result.name = "platform_shard_w" + std::to_string(workers);
-  result.events = run.simulated_events;
-  result.wall_s = wall_seconds_since(start);
-  result.allocations = allocations_now() - alloc_start;
-  if (!run.completed) {
-    std::cerr << result.name << ": run did not complete\n";
-    std::exit(1);
-  }
-  std::cout << "  " << result.name << ": " << run.shards.size()
-            << " partitions, " << run.shard_epochs << " epochs, "
-            << run.shard_messages << " cross-shard messages;";
-  for (std::size_t p = 0; p < run.shards.size(); ++p) {
-    std::cout << (p == 0 ? " per-shard events " : " / ")
-              << run.shards[p]->simulated_events;
-  }
-  std::cout << "\n";
-  return result;
-}
-
-void write_report(const std::string& path, const std::string& name,
-                  bool quick, std::size_t nodes, std::uint64_t invocations,
+void write_report(const std::string& path, bool quick, std::size_t nodes,
+                  std::uint64_t invocations,
                   const std::vector<PhaseResult>& phases) {
   std::ofstream out(path);
   if (!out) {
@@ -309,7 +254,7 @@ void write_report(const std::string& path, const std::string& name,
   obs::JsonWriter json(out, /*indent=*/2);
   json.begin_object();
   json.field("schema", "canary.bench/v1");
-  json.field("name", name);
+  json.field("name", "scale");
   json.field("quick", quick);
   json.key("config").begin_object();
   json.field("nodes", static_cast<std::uint64_t>(nodes));
@@ -336,18 +281,14 @@ void write_report(const std::string& path, const std::string& name,
 int run(int argc, char** argv) {
   bool quick = quick_mode();
   std::string out_path;
-  std::string shard_out_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--quick") {
       quick = true;
     } else if (arg.rfind("--out=", 0) == 0) {
       out_path = arg.substr(6);
-    } else if (arg.rfind("--shard-out=", 0) == 0) {
-      shard_out_path = arg.substr(12);
     } else {
-      std::cerr << "usage: scale_stress [--quick] [--out=PATH] "
-                   "[--shard-out=PATH]\n";
+      std::cerr << "usage: scale_stress [--quick] [--out=PATH]\n";
       return 2;
     }
   }
@@ -355,7 +296,6 @@ int run(int argc, char** argv) {
   const std::string report_dir =
       (dir != nullptr && *dir != '\0') ? std::string(dir) + "/" : "";
   if (out_path.empty()) out_path = report_dir + "BENCH_scale.json";
-  if (shard_out_path.empty()) shard_out_path = report_dir + "BENCH_shard.json";
 
   // Full mode: >= 1M invocations over 256 nodes, 4M-event engine phases.
   // Quick mode: 32k invocations over 64 nodes, 256k-event engine phases —
@@ -376,23 +316,14 @@ int run(int argc, char** argv) {
   phases.push_back(
       platform_scale(nodes, jobs, functions_per_job, &invocations));
 
-  std::cout << "\nshard sweep (8 partitions):\n";
-  std::vector<PhaseResult> shard_phases;
-  for (const unsigned workers : {1u, 2u, 4u}) {
-    shard_phases.push_back(
-        platform_shard(nodes, jobs, functions_per_job, workers));
-  }
-
   TextTable table(
       {"phase", "events", "wall [s]", "events/sec", "allocs", "allocs/event"});
-  for (const std::vector<PhaseResult>* set : {&phases, &shard_phases}) {
-    for (const PhaseResult& phase : *set) {
-      table.add_row({phase.name, std::to_string(phase.events),
-                     TextTable::num(phase.wall_s, 3),
-                     TextTable::num(phase.events_per_sec(), 0),
-                     std::to_string(phase.allocations),
-                     TextTable::num(phase.allocations_per_event(), 4)});
-    }
+  for (const PhaseResult& phase : phases) {
+    table.add_row({phase.name, std::to_string(phase.events),
+                   TextTable::num(phase.wall_s, 3),
+                   TextTable::num(phase.events_per_sec(), 0),
+                   std::to_string(phase.allocations),
+                   TextTable::num(phase.allocations_per_event(), 4)});
   }
   std::cout << "\n";
   table.print(std::cout);
@@ -400,9 +331,7 @@ int run(int argc, char** argv) {
             << " nodes\npeak rss: " << peak_rss_bytes() / (1024 * 1024)
             << " MiB\n";
 
-  write_report(out_path, "scale", quick, nodes, invocations, phases);
-  write_report(shard_out_path, "shard", quick, nodes, invocations,
-               shard_phases);
+  write_report(out_path, quick, nodes, invocations, phases);
   return 0;
 }
 

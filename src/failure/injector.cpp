@@ -275,8 +275,9 @@ void FailureInjector::schedule_partition(sim::Simulator& simulator,
                                 from = std::move(from), to = std::move(to),
                                 symmetric] {
     if (from.empty() || to.empty()) {
-      // Degenerate window (a zone slice with no members in this shard):
-      // still counted, so per-shard counter merges stay invariant.
+      // Degenerate window (e.g. every member of a cut zone died before
+      // it opened): nothing to block, but it still counts as started and
+      // healed, so the counters match the scheduled windows.
       ++partitions_started_;
       ++partitions_healed_;
       return;

@@ -125,8 +125,9 @@ class FailureInjector : public faas::FailurePolicy,
 
   /// Domain bipartition: fault domain `zone` is symmetrically cut off from
   /// the rest of the cluster for `duration`. Membership is resolved at
-  /// fire time; an empty side makes the window a no-op (still counted, so
-  /// sharded slices merge consistently).
+  /// fire time from the alive nodes; an empty side (the zone's members
+  /// all died, or no other zone has a survivor) makes the window a no-op
+  /// that still counts as started and healed.
   void schedule_zone_partition(sim::Simulator& simulator,
                                faas::Platform& platform, TimePoint start,
                                Duration duration, std::uint32_t zone);

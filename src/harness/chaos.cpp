@@ -299,52 +299,12 @@ ChaosScenario make_partition_chaos_scenario(std::uint64_t seed) {
   return out;
 }
 
-ChaosScenario make_sharded_partition_chaos_scenario(std::uint64_t seed) {
-  ChaosScenario out = make_partition_chaos_scenario(seed);
-  out.config.sharding.enabled = true;
-  out.config.sharding.partitions = 4;
-  out.config.sharding.workers = 4;
-  // As in make_sharded_chaos_scenario: grow the cluster by the partition
-  // count so each engine partition keeps a full base-sized slice. Zone
-  // windows and outages carry zone ids (slice-local layout is identical)
-  // and the node-set windows' ids remap modularly, so every slice sees
-  // the same storm the monolithic run would.
-  out.config.cluster_nodes *= out.config.sharding.partitions;
-  return out;
-}
-
-ChaosScenario make_sharded_chaos_scenario(std::uint64_t seed) {
-  ChaosScenario out = make_chaos_scenario(seed);
-  out.config.sharding.enabled = true;
-  out.config.sharding.partitions = 4;
-  out.config.sharding.workers = 4;
-  // Grow the cluster by the partition count so each partition keeps a
-  // full base-sized slice. Fault node ids were drawn against the base
-  // cluster size, so they stay in range inside every slice after the
-  // round-robin split's modular remap.
-  out.config.cluster_nodes *= out.config.sharding.partitions;
-  return out;
-}
-
 std::vector<std::string> chaos_oracles(const ChaosScenario& scenario,
                                        const RunResult& result) {
   std::vector<std::string> violations;
   auto violate = [&violations](const std::string& what) {
     violations.push_back(what);
   };
-
-  // Sharded runs: every oracle must hold within each partition —
-  // function ids and causal trace ids are partition-local, so the
-  // event-derived oracles (exactly-once, detection bound, hedge event
-  // identities) are only meaningful per shard. The merged result carries
-  // no event log of its own, so falling through below re-checks just the
-  // scalar oracles across the reduction.
-  for (std::size_t i = 0; i < result.shards.size(); ++i) {
-    for (const std::string& violation :
-         chaos_oracles(scenario, *result.shards[i])) {
-      violations.push_back("shard " + std::to_string(i) + ": " + violation);
-    }
-  }
 
   // 1. Completion: recovery terminated and every job finished.
   if (!result.completed) {
@@ -608,12 +568,6 @@ ChaosOutcome evaluate_scenario(const ChaosScenario& scenario,
        det.sweep_interval * 2.0 + scenario.max_heartbeat_delay)
           .to_seconds();
   out.max_detection_latency_s = max_detection_latency_s(result.events.get());
-  // Sharded runs keep their event logs per partition.
-  for (const auto& shard : result.shards) {
-    out.max_detection_latency_s =
-        std::max(out.max_detection_latency_s,
-                 max_detection_latency_s(shard->events.get()));
-  }
 
   out.traffic_offered = result.traffic.offered;
   out.traffic_admitted = result.traffic.admitted;
@@ -657,16 +611,8 @@ ChaosOutcome run_hedge_chaos_scenario(std::uint64_t seed) {
   return evaluate_scenario(make_hedge_chaos_scenario(seed), seed);
 }
 
-ChaosOutcome run_sharded_chaos_scenario(std::uint64_t seed) {
-  return evaluate_scenario(make_sharded_chaos_scenario(seed), seed);
-}
-
 ChaosOutcome run_partition_chaos_scenario(std::uint64_t seed) {
   return evaluate_scenario(make_partition_chaos_scenario(seed), seed);
-}
-
-ChaosOutcome run_sharded_partition_chaos_scenario(std::uint64_t seed) {
-  return evaluate_scenario(make_sharded_partition_chaos_scenario(seed), seed);
 }
 
 }  // namespace canary::harness

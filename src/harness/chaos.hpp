@@ -78,18 +78,7 @@ ChaosScenario make_traffic_chaos_scenario(std::uint64_t seed);
 /// (and the traffic stream's child(4)) are untouched.
 ChaosScenario make_hedge_chaos_scenario(std::uint64_t seed);
 
-/// The base scenario scaled out over the conservative parallel engine:
-/// four partitions advanced by four worker threads, with KV checkpoint
-/// mirroring and completion beacons crossing shard boundaries. The
-/// cluster is grown 4x so each partition keeps a full base-sized slice —
-/// a one-node slice could not survive its share of the node kills, which
-/// would fail the completion oracle for reasons unrelated to sharding.
-/// Every oracle is evaluated inside each partition (function ids and
-/// causal trace ids are partition-local) and the scalar oracles are
-/// re-evaluated on the merged result.
-ChaosScenario make_sharded_chaos_scenario(std::uint64_t seed);
-
-/// The fifth family: partition/zone/heal storms. The base scenario gains
+/// The partition family: partition/zone/heal storms. The base scenario gains
 /// 1-2 long zone bipartitions (cutting the cluster's last fault domain,
 /// sized so the majority side always survives), an optional short
 /// asymmetric window (one-way heartbeat loss that must un-suspect cleanly
@@ -98,13 +87,6 @@ ChaosScenario make_sharded_chaos_scenario(std::uint64_t seed);
 /// `Rng(seed).child(6)`, so the base draws (and every other overlay's
 /// stream) are untouched.
 ChaosScenario make_partition_chaos_scenario(std::uint64_t seed);
-
-/// The partition scenario scaled out over the conservative parallel
-/// engine (4 partitions x 4 workers), the same way
-/// make_sharded_chaos_scenario scales the base: each shard keeps a full
-/// base-sized cluster slice and resolves its zone windows/outages against
-/// its own slice.
-ChaosScenario make_sharded_partition_chaos_scenario(std::uint64_t seed);
 
 struct ChaosOutcome {
   std::uint64_t seed = 0;
@@ -156,23 +138,13 @@ ChaosOutcome run_traffic_chaos_scenario(std::uint64_t seed);
 /// and evaluate every oracle, hedge exactly-once included.
 ChaosOutcome run_hedge_chaos_scenario(std::uint64_t seed);
 
-/// Run one seeded sharded scenario (4 partitions x 4 workers over the
-/// parallel engine) and evaluate every oracle per shard plus the merged
-/// scalars. Exactly-once must survive cross-shard traffic and node kills.
-ChaosOutcome run_sharded_chaos_scenario(std::uint64_t seed);
-
 /// Run one seeded partition scenario (zone cuts + asymmetric windows +
 /// correlated outages) and evaluate every oracle, no-split-brain and
 /// heal-convergence included.
 ChaosOutcome run_partition_chaos_scenario(std::uint64_t seed);
 
-/// Run one seeded sharded partition scenario (4 partitions x 4 workers).
-ChaosOutcome run_sharded_partition_chaos_scenario(std::uint64_t seed);
-
 /// Oracle evaluation, separated for tests: checks `result` (and the
-/// scenario it came from) and returns the violations. For sharded
-/// results, recurses into each per-partition result (violations gain a
-/// "shard N: " prefix) before checking the merged scalars.
+/// scenario it came from) and returns the violations.
 std::vector<std::string> chaos_oracles(const ChaosScenario& scenario,
                                        const RunResult& result);
 

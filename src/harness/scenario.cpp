@@ -471,8 +471,6 @@ RunResult ScenarioInstance::collect() {
 
 RunResult ScenarioRunner::run(const ScenarioConfig& config,
                               const std::vector<faas::JobSpec>& jobs) {
-  if (config.sharding.enabled) return internal::run_sharded(config, jobs);
-
   sim::Simulator simulator;
   internal::ScenarioInstance instance(simulator, config, jobs,
                                       /*install_log_hooks=*/true);

@@ -1,13 +1,10 @@
 // Shared internals of the scenario runner: the full set of live objects
 // behind one simulated scenario, constructed against an externally owned
-// simulator so the same wiring drives both execution modes —
-//   * the monolithic path (ScenarioRunner::run, sharding disabled) builds
-//     one instance over one sim::Simulator and calls simulator.run();
-//   * the sharded path (run_sharded) builds one instance per partition
-//     over sim::ShardEngine partitions and advances them conservatively.
-// Keeping construction and result collection in one place is what makes
-// the two modes comparable: a partition IS a scenario, just a smaller
-// one, and its RunResult is harvested by the exact same code.
+// simulator. ScenarioRunner::run builds one instance over one
+// sim::Simulator, calls simulator.run() and harvests the RunResult with
+// collect(). Callers that time or trace the layers of a run separately
+// (construction, simulation, collection, teardown) drive the same three
+// steps themselves, so they measure exactly the code the runner executes.
 #pragma once
 
 #include <memory>
@@ -36,16 +33,14 @@ namespace canary::harness::internal {
 
 /// One fully wired scenario over a borrowed simulator. The constructor
 /// performs the complete setup — platform, strategy, traffic, fault
-/// schedule, detector start — in the exact statement order the monolithic
-/// runner always used; the caller then drives the simulator (run() or a
-/// shard scheduler) and harvests the result with collect().
+/// schedule, detector start — in the runner's statement order; the
+/// caller then drives the simulator and harvests the result with
+/// collect().
 ///
-/// `install_log_hooks` controls the thread-scoped log clock/mirror. The
-/// monolithic path installs them (records carry simulated time, kWarn+
-/// mirrors into the causal log). Sharded partitions must NOT: the hooks
-/// are thread-local, partition callbacks run on worker threads, and any
-/// cross-thread mirroring would make the event log depend on the worker
-/// count.
+/// `install_log_hooks` controls the thread-scoped log clock/mirror: when
+/// set, log records carry simulated time and kWarn+ records mirror into
+/// the causal log. The hooks are thread-local: they apply only on the
+/// thread that constructed the instance.
 struct ScenarioInstance {
   ScenarioInstance(sim::Simulator& sim, const ScenarioConfig& cfg,
                    const std::vector<faas::JobSpec>& jobs,
@@ -57,7 +52,7 @@ struct ScenarioInstance {
   /// the usage ledger and closes open spans; call exactly once.
   RunResult collect();
 
-  ScenarioConfig config;  // owned copy: partition configs are derived
+  ScenarioConfig config;  // owned copy, lives as long as the instance
   sim::Simulator& simulator;
   cluster::Cluster cluster;
   cluster::NetworkModel network;
@@ -88,23 +83,5 @@ struct ScenarioInstance {
   std::optional<traffic::TrafficGenerator> traffic_gen;
   std::optional<traffic::WarmPoolAutoscaler> autoscaler;
 };
-
-/// Derive partition `p`'s scenario from the sharded top-level config:
-/// its slice of the cluster (testbed node ids are partition-local), a
-/// decorrelated RNG seed, and the round-robin share of faults, traffic
-/// streams, and batch jobs. Pure; the same inputs always produce the
-/// same partition configs regardless of worker count.
-ScenarioConfig derive_partition_config(const ScenarioConfig& config,
-                                       unsigned partition, unsigned partitions);
-
-/// Reduce per-partition results into one merged RunResult, in partition
-/// order (every constituent merge — metrics, breakdown, tail, series —
-/// is deterministic and order-fixed). The inputs are retained in
-/// RunResult::shards.
-RunResult merge_sharded_results(std::vector<std::shared_ptr<RunResult>> parts);
-
-/// Execute a sharding-enabled scenario on a ShardEngine.
-RunResult run_sharded(const ScenarioConfig& config,
-                      const std::vector<faas::JobSpec>& jobs);
 
 }  // namespace canary::harness::internal

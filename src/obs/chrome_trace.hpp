@@ -15,21 +15,12 @@
 
 #include <iosfwd>
 #include <string>
-#include <vector>
 
 #include "obs/event_log.hpp"
 #include "obs/span.hpp"
 #include "obs/time_series.hpp"
 
 namespace canary::obs {
-
-/// One process ("pid") worth of trace inputs — a shard's spans, causal
-/// events, and rollups. Any member may be null.
-struct TraceSection {
-  const SpanRecorder* spans = nullptr;
-  const EventLog* events = nullptr;
-  const TimeSeries* series = nullptr;
-};
 
 /// Write the full trace JSON document for `spans` to `os`.
 void write_chrome_trace(std::ostream& os, const SpanRecorder& spans);
@@ -46,15 +37,6 @@ void write_chrome_trace(std::ostream& os, const SpanRecorder* spans,
 void write_chrome_trace(std::ostream& os, const SpanRecorder* spans,
                         const EventLog* events, const TimeSeries* series);
 
-/// Multi-process export for sharded runs: section i renders under
-/// pid == i + 1 with a "shard i" process label, so every partition's
-/// node tracks group under their own process lane in the viewer. A
-/// single unlabeled section at pid 1 is NOT emitted by this overload —
-/// monolithic runs keep using the pointer overloads above, whose output
-/// is byte-identical to pre-sharding builds.
-void write_chrome_trace(std::ostream& os,
-                        const std::vector<TraceSection>& sections);
-
 /// Write to `path`; returns false (and leaves no partial file guarantees)
 /// when the file cannot be opened.
 bool write_chrome_trace_file(const std::string& path,
@@ -65,7 +47,5 @@ bool write_chrome_trace_file(const std::string& path,
 bool write_chrome_trace_file(const std::string& path,
                              const SpanRecorder* spans, const EventLog* events,
                              const TimeSeries* series);
-bool write_chrome_trace_file(const std::string& path,
-                             const std::vector<TraceSection>& sections);
 
 }  // namespace canary::obs

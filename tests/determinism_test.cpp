@@ -9,7 +9,7 @@
 // globals, statics, or allocator-address-dependent ordering.
 #include <gtest/gtest.h>
 
-#include <functional>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -182,33 +182,13 @@ TEST(DeterminismTest, RealBackendUnselectedLeavesSimArtifactsByteIdentical) {
   EXPECT_NE(report_before.find("canary.run_report/v3"), std::string::npos);
 }
 
-// ---- sharded execution: worker-count invariance -----------------------
+// ---- byte identity with each optional surface enabled ----------------
 //
-// The parallel engine's contract: the partition count fixes the model,
-// worker threads only map partitions onto cores. With partitions pinned
-// at 8, the merged report and the multi-process chrome trace must be
-// byte-identical at workers ∈ {1, 2, 4, 8} — with and without traffic,
-// hedging, and attribution enabled.
-
-harness::ScenarioConfig sharded_scenario(unsigned workers) {
-  harness::ScenarioConfig config = scenario_under_test();
-  config.cluster_nodes = 48;  // 6 nodes per partition
-  config.sharding.enabled = true;
-  config.sharding.partitions = 8;
-  config.sharding.workers = workers;
-  return config;
-}
-
-std::vector<faas::JobSpec> sharded_jobs() {
-  std::vector<faas::JobSpec> jobs;
-  for (int i = 0; i < 12; ++i) {
-    jobs.push_back(workloads::make_mixed_batch(4 + i % 5));
-  }
-  for (int i = 0; i < 4; ++i) {
-    jobs.push_back(workloads::make_mapreduce_job(4, 2));
-  }
-  return jobs;
-}
+// The tests above pin the default configuration. Traffic, hedging, tail
+// attribution and the partition surface each add their own state
+// (arrival streams, clone races, exemplar reservoirs, reachability rules)
+// and report sections; each variant below must still produce the same
+// report and chrome trace bytes when run twice.
 
 void add_traffic(harness::ScenarioConfig& config) {
   config.traffic.enabled = true;
@@ -249,9 +229,9 @@ void add_attribution(harness::ScenarioConfig& config) {
 }
 
 void add_partitions(harness::ScenarioConfig& config) {
-  // The v3 partition surface, active inside every engine slice: a zone
-  // bipartition that fences the slice's minority side, plus a correlated
-  // zone outage landing on the already-fenced nodes (skipped kills).
+  // The v3 partition surface: a zone bipartition that fences the
+  // minority side, plus a correlated zone outage landing on the
+  // already-fenced nodes (skipped kills).
   config.detection.enabled = true;
   config.detection.heartbeat_interval = Duration::msec(250);
   config.detection.timeout_multiplier = 2.0;
@@ -267,76 +247,70 @@ void add_partitions(harness::ScenarioConfig& config) {
   config.zone_outages.push_back({Duration::sec(6.0), 1});
 }
 
-std::string render_sharded_report(const harness::RunResult& result,
-                                  const harness::ScenarioConfig& config) {
-  harness::Aggregate agg;
-  agg.add(result);
-  return harness::make_report("shard_probe", config, agg).to_json();
+struct SurfaceVariant {
+  const char* name;
+  void (*enable)(harness::ScenarioConfig&);
+  /// True when the run actually exercised the surface, so the byte
+  /// comparison is not vacuous.
+  bool (*exercised)(const harness::RunResult&);
+};
+
+/// Test listings show the variant by name.
+void PrintTo(const SurfaceVariant& variant, std::ostream* os) {
+  *os << variant.name;
 }
 
-std::string render_sharded_trace(const harness::RunResult& result) {
-  std::vector<obs::TraceSection> sections;
-  for (const auto& shard : result.shards) {
-    sections.push_back({shard->spans.get(), shard->events.get(),
-                        shard->timeseries.enabled() ? &shard->timeseries
-                                                    : nullptr});
-  }
-  std::ostringstream out;
-  obs::write_chrome_trace(out, sections);
-  return out.str();
-}
+class DeterminismTest : public ::testing::TestWithParam<SurfaceVariant> {};
 
-void expect_worker_invariant(
-    const std::function<void(harness::ScenarioConfig&)>& mutate) {
-  const std::vector<faas::JobSpec> jobs = sharded_jobs();
-  std::string reference_report;
-  std::string reference_trace;
-  for (const unsigned workers : {1u, 2u, 4u, 8u}) {
-    harness::ScenarioConfig config = sharded_scenario(workers);
-    if (mutate) mutate(config);
+TEST_P(DeterminismTest, ReportAndTraceAreByteIdenticalAcrossRuns) {
+  harness::ScenarioConfig config = scenario_under_test();
+  config.cluster_nodes = 12;  // three 4-node zones: a cut leaves a majority
+  GetParam().enable(config);
+  const std::vector<faas::JobSpec> jobs = jobs_under_test();
+
+  std::string reports[2];
+  std::string traces[2];
+  for (int run = 0; run < 2; ++run) {
     const harness::RunResult result =
         harness::ScenarioRunner::run(config, jobs);
-    ASSERT_EQ(result.shards.size(), 8u);
-    const std::string report = render_sharded_report(result, config);
-    const std::string trace = render_sharded_trace(result);
-    ASSERT_FALSE(report.empty());
-    ASSERT_FALSE(trace.empty());
-    if (workers == 1) {
-      reference_report = report;
-      reference_trace = trace;
-      continue;
-    }
-    EXPECT_EQ(report, reference_report)
-        << "merged report diverged at workers=" << workers;
-    EXPECT_EQ(trace, reference_trace)
-        << "sharded trace diverged at workers=" << workers;
+    ASSERT_TRUE(result.completed);
+    EXPECT_TRUE(GetParam().exercised(result));
+    std::ostringstream trace;
+    obs::write_chrome_trace(trace, result.spans.get(), result.events.get(),
+                            &result.timeseries);
+    traces[run] = trace.str();
+    harness::Aggregate agg;
+    agg.add(result);
+    reports[run] =
+        harness::make_report("determinism_probe", config, agg).to_json();
   }
+  ASSERT_FALSE(reports[0].empty());
+  ASSERT_FALSE(traces[0].empty());
+  EXPECT_EQ(reports[0], reports[1]) << "report diverged between runs";
+  EXPECT_EQ(traces[0], traces[1]) << "chrome trace diverged between runs";
 }
 
-TEST(ShardInvarianceTest, ReportAndTraceInvariantAcrossWorkerCounts) {
-  expect_worker_invariant(nullptr);
-}
-
-TEST(ShardInvarianceTest, InvariantWithTraffic) {
-  expect_worker_invariant([](harness::ScenarioConfig& c) { add_traffic(c); });
-}
-
-TEST(ShardInvarianceTest, InvariantWithHedging) {
-  expect_worker_invariant([](harness::ScenarioConfig& c) { add_hedging(c); });
-}
-
-TEST(ShardInvarianceTest, InvariantWithAttribution) {
-  expect_worker_invariant(
-      [](harness::ScenarioConfig& c) { add_attribution(c); });
-}
-
-TEST(ShardInvarianceTest, InvariantWithPartitions) {
-  // Worker invariance with the partition surface ENABLED: zone cuts,
-  // logical fencing, and the correlated outage resolve inside each
-  // engine slice, so the worker count still must not change a byte.
-  expect_worker_invariant(
-      [](harness::ScenarioConfig& c) { add_partitions(c); });
-}
+INSTANTIATE_TEST_SUITE_P(
+    Surfaces, DeterminismTest,
+    ::testing::Values(
+        SurfaceVariant{"Traffic", add_traffic,
+                       [](const harness::RunResult& r) {
+                         return r.traffic.offered > 0;
+                       }},
+        SurfaceVariant{"Hedging", add_hedging,
+                       [](const harness::RunResult& r) {
+                         return r.hedge.fired > 0;
+                       }},
+        SurfaceVariant{"Attribution", add_attribution,
+                       [](const harness::RunResult& r) {
+                         return !r.tail.groups.empty() &&
+                                r.timeseries.enabled();
+                       }},
+        SurfaceVariant{"Partitions", add_partitions,
+                       [](const harness::RunResult& r) {
+                         return r.injected_partitions > 0 &&
+                                r.injected_zone_outages > 0;
+                       }}));
 
 TEST(DeterminismTest, PartitionSurfaceOffKeepsArtifactsByteIdentical) {
   // The partition-off contract: a scenario that never schedules a
@@ -366,30 +340,6 @@ TEST(DeterminismTest, PartitionSurfaceOffKeepsArtifactsByteIdentical) {
   EXPECT_EQ(trace.find("partition_heal"), std::string::npos);
   EXPECT_EQ(trace.find("node_fenced"), std::string::npos);
   EXPECT_EQ(trace.find("injected_zone_outage"), std::string::npos);
-}
-
-TEST(ShardInvarianceTest, ShardedRunExercisesCrossShardChannels) {
-  // The invariance above would be vacuous if nothing crossed shards:
-  // assert the KV mirror and completion beacons actually flowed.
-  harness::ScenarioConfig config = sharded_scenario(2);
-  const harness::RunResult result =
-      harness::ScenarioRunner::run(config, sharded_jobs());
-  EXPECT_TRUE(result.completed);
-  EXPECT_GT(result.shard_messages, 0u);
-  EXPECT_GT(result.shard_epochs, 0u);
-  EXPECT_GT(result.metrics.counter("shard_job_beacons"), 0.0);
-  EXPECT_GT(result.metrics.counter("kv_mirror_in"), 0.0);
-}
-
-TEST(ShardInvarianceTest, ShardingOffIsUntouched) {
-  // sharding.enabled=false must route through the monolithic path and
-  // leave no sharded artifacts behind.
-  const harness::RunResult result =
-      harness::ScenarioRunner::run(scenario_under_test(), jobs_under_test());
-  EXPECT_TRUE(result.shards.empty());
-  EXPECT_EQ(result.shard_epochs, 0u);
-  EXPECT_EQ(result.shard_messages, 0u);
-  EXPECT_EQ(result.metrics.counter("shard_job_beacons"), 0.0);
 }
 
 TEST(DeterminismTest, HeadlineScalarsAreReproducible) {

@@ -283,7 +283,7 @@ TEST(PartitionScenarioTest, SurfaceOffLeavesCountersUntouched) {
 }
 
 TEST(PartitionChaosSweepTest, MiniSweepHoldsAllInvariants) {
-  // A handful of fifth-family scenarios inline in the unit suite; the
+  // A handful of partition-family scenarios inline in the unit suite; the
   // 64-seed subset lives in bench/chaos_campaign. Both new oracles (no
   // split brain, heal convergence) run inside chaos_oracles.
   std::uint64_t partitions_started = 0;
@@ -298,18 +298,6 @@ TEST(PartitionChaosSweepTest, MiniSweepHoldsAllInvariants) {
   }
   // The family always injects at least one window per seed.
   EXPECT_GE(partitions_started, 4u);
-}
-
-TEST(PartitionChaosSweepTest, ShardedMiniSweepHoldsAllInvariants) {
-  // The same scenarios split over 4 partitions x 4 worker threads on the
-  // conservative parallel engine, all ten oracles evaluated inside every
-  // engine partition plus the merged scalars.
-  for (std::uint64_t seed = 10001; seed < 10003; ++seed) {
-    const ChaosOutcome outcome = run_sharded_partition_chaos_scenario(seed);
-    EXPECT_TRUE(outcome.violations.empty())
-        << "seed " << seed << ": " << outcome.violations.front();
-    EXPECT_TRUE(outcome.completed) << "seed " << seed;
-  }
 }
 
 }  // namespace

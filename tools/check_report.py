@@ -470,15 +470,12 @@ def check_chaos_report(report, path):
     expect(isinstance(params.get("quick"), bool), "params.quick: expected a bool")
     for key in ("scenarios", "base_seed", "traffic_scenarios",
                 "traffic_base_seed", "hedge_scenarios", "hedge_base_seed",
-                "sharded_scenarios", "sharded_base_seed",
                 "partition_scenarios", "partition_base_seed"):
         check_number(params, key, "params")
     expect(params["scenarios"] > 0, "params.scenarios: must be positive")
     expect(params["traffic_scenarios"] >= 0,
            "params.traffic_scenarios: negative")
     expect(params["hedge_scenarios"] >= 0, "params.hedge_scenarios: negative")
-    expect(params["sharded_scenarios"] >= 0,
-           "params.sharded_scenarios: negative")
     expect(params["partition_scenarios"] >= 0,
            "params.partition_scenarios: negative")
 
