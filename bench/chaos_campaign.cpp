@@ -35,9 +35,11 @@
 #include <future>
 #include <iomanip>
 #include <iostream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/table.hpp"
@@ -177,50 +179,27 @@ int main(int argc, char** argv) {
   }
 
   // ---- aggregate --------------------------------------------------------
+  // Registry counters summed over every scenario, keyed by counter name.
+  std::map<std::string, double> totals;
   std::uint64_t violations = 0;
-  std::uint64_t node_kills = 0, gray = 0, hb_dropped = 0, hb_delayed = 0;
-  std::uint64_t store_dropped = 0, store_corrupted = 0;
-  std::uint64_t suspicions = 0, false_suspicions = 0, stalls = 0;
-  std::uint64_t traffic_offered = 0, traffic_admitted = 0;
-  std::uint64_t traffic_shed = 0, traffic_completed = 0;
-  std::uint64_t hedges_fired = 0, hedge_wins = 0, hedges_cancelled = 0;
-  std::uint64_t partitions_started = 0, partitions_healed = 0;
-  std::uint64_t zone_outages = 0, hb_partition_dropped = 0;
   std::uint64_t stale_epoch_rejects = 0, quorum_blocked = 0;
-  std::uint64_t zombie_attempts = 0, zombie_rejected = 0;
   double total_failures = 0.0;
   double max_detection = 0.0;
   std::vector<const ChaosOutcome*> failed;
   for (const ChaosOutcome& out : outcomes) {
     violations += out.violations.size();
-    node_kills += out.node_kills;
-    gray += out.gray_windows;
-    hb_dropped += out.heartbeats_dropped;
-    hb_delayed += out.heartbeats_delayed;
-    store_dropped += out.store_entries_dropped;
-    store_corrupted += out.store_entries_corrupted;
-    suspicions += out.detector_suspicions;
-    false_suspicions += out.detector_false_suspicions;
-    stalls += out.recovery_stalls;
-    traffic_offered += out.traffic_offered;
-    traffic_admitted += out.traffic_admitted;
-    traffic_shed += out.traffic_shed;
-    traffic_completed += out.traffic_completed;
-    hedges_fired += out.hedges_fired;
-    hedge_wins += out.hedge_wins;
-    hedges_cancelled += out.hedges_cancelled;
-    partitions_started += out.partitions_started;
-    partitions_healed += out.partitions_healed;
-    zone_outages += out.zone_outages;
-    hb_partition_dropped += out.heartbeats_partition_dropped;
+    for (const auto& [name, value] : out.counters) totals[name] += value;
     stale_epoch_rejects += out.stale_epoch_rejects;
     quorum_blocked += out.quorum_blocked_puts;
-    zombie_attempts += out.zombie_commit_attempts;
-    zombie_rejected += out.zombie_commits_rejected;
     total_failures += out.failures;
     max_detection = std::max(max_detection, out.max_detection_latency_s);
     if (!out.violations.empty()) failed.push_back(&out);
   }
+  const auto count = [&totals](const char* counter) {
+    const auto it = totals.find(counter);
+    return std::to_string(
+        it == totals.end() ? 0 : static_cast<std::uint64_t>(it->second));
+  };
 
   canary::TextTable table({"metric", "total"});
   table.add_row({"scenarios", std::to_string(scenarios)});
@@ -228,26 +207,27 @@ int main(int argc, char** argv) {
   table.add_row({"hedge scenarios", std::to_string(hedge_scenarios)});
   table.add_row({"partition scenarios", std::to_string(partition_scenarios)});
   table.add_row({"function failures", canary::TextTable::num(total_failures, 0)});
-  table.add_row({"node kills", std::to_string(node_kills)});
-  table.add_row({"gray windows", std::to_string(gray)});
-  table.add_row({"heartbeats dropped", std::to_string(hb_dropped)});
-  table.add_row({"heartbeats delayed", std::to_string(hb_delayed)});
-  table.add_row({"checkpoints destroyed", std::to_string(store_dropped)});
-  table.add_row({"checkpoints corrupted", std::to_string(store_corrupted)});
-  table.add_row({"worker suspicions", std::to_string(suspicions)});
-  table.add_row({"false suspicions", std::to_string(false_suspicions)});
-  table.add_row({"recovery stalls", std::to_string(stalls)});
+  table.add_row({"node kills", count("injected_node_kills")});
+  table.add_row({"gray windows", count("injected_gray_windows")});
+  table.add_row({"heartbeats dropped", count("heartbeats_dropped")});
+  table.add_row({"heartbeats delayed", count("heartbeats_delayed")});
+  table.add_row({"checkpoints destroyed", count("injected_store_drops")});
+  table.add_row(
+      {"checkpoints corrupted", count("injected_store_corruptions")});
+  table.add_row({"worker suspicions", count("worker_suspicions")});
+  table.add_row({"false suspicions", count("false_suspicions")});
+  table.add_row({"recovery stalls", count("recovery_stalls")});
   table.add_row({"max detection latency [s]",
                  canary::TextTable::num(max_detection, 3)});
-  table.add_row({"arrivals offered", std::to_string(traffic_offered)});
-  table.add_row({"arrivals shed", std::to_string(traffic_shed)});
-  table.add_row({"hedges fired", std::to_string(hedges_fired)});
-  table.add_row({"hedge wins", std::to_string(hedge_wins)});
-  table.add_row({"partitions started", std::to_string(partitions_started)});
-  table.add_row({"partitions healed", std::to_string(partitions_healed)});
-  table.add_row({"zone outages", std::to_string(zone_outages)});
+  table.add_row({"arrivals offered", count("traffic_offered")});
+  table.add_row({"arrivals shed", count("traffic_shed")});
+  table.add_row({"hedges fired", count("hedges_fired")});
+  table.add_row({"hedge wins", count("hedge_wins")});
+  table.add_row({"partitions started", count("injected_partitions")});
+  table.add_row({"partitions healed", count("injected_partition_heals")});
+  table.add_row({"zone outages", count("injected_zone_outages")});
   table.add_row({"stale-epoch rejects", std::to_string(stale_epoch_rejects)});
-  table.add_row({"zombie commit attempts", std::to_string(zombie_attempts)});
+  table.add_row({"zombie commit attempts", count("zombie_commit_attempts")});
   table.add_row({"oracle violations", std::to_string(violations)});
   table.print(std::cout);
 
@@ -285,43 +265,51 @@ int main(int argc, char** argv) {
   os << "    \"partition_scenarios\": " << partition_scenarios << ",\n";
   os << "    \"partition_base_seed\": " << partition_base_seed << "\n";
   os << "  },\n";
-  os << "  \"fault_totals\": {\n";
-  os << "    \"function_failures\": " << num(total_failures) << ",\n";
-  os << "    \"node_kills\": " << node_kills << ",\n";
-  os << "    \"gray_windows\": " << gray << ",\n";
-  os << "    \"heartbeats_dropped\": " << hb_dropped << ",\n";
-  os << "    \"heartbeats_delayed\": " << hb_delayed << ",\n";
-  os << "    \"store_entries_dropped\": " << store_dropped << ",\n";
-  os << "    \"store_entries_corrupted\": " << store_corrupted << "\n";
-  os << "  },\n";
-  os << "  \"detection\": {\n";
-  os << "    \"suspicions\": " << suspicions << ",\n";
-  os << "    \"false_suspicions\": " << false_suspicions << ",\n";
-  os << "    \"recovery_stalls\": " << stalls << ",\n";
-  os << "    \"max_latency_s\": " << num(max_detection) << "\n";
-  os << "  },\n";
-  os << "  \"traffic_totals\": {\n";
-  os << "    \"offered\": " << traffic_offered << ",\n";
-  os << "    \"admitted\": " << traffic_admitted << ",\n";
-  os << "    \"shed\": " << traffic_shed << ",\n";
-  os << "    \"completed\": " << traffic_completed << "\n";
-  os << "  },\n";
-  os << "  \"hedge_totals\": {\n";
-  os << "    \"fired\": " << hedges_fired << ",\n";
-  os << "    \"wins\": " << hedge_wins << ",\n";
-  os << "    \"cancelled\": " << hedges_cancelled << "\n";
-  os << "  },\n";
-  os << "  \"partition_totals\": {\n";
-  os << "    \"partitions_started\": " << partitions_started << ",\n";
-  os << "    \"partitions_healed\": " << partitions_healed << ",\n";
-  os << "    \"zone_outages\": " << zone_outages << ",\n";
-  os << "    \"heartbeats_partition_dropped\": " << hb_partition_dropped
-     << ",\n";
-  os << "    \"stale_epoch_rejects\": " << stale_epoch_rejects << ",\n";
-  os << "    \"quorum_blocked_puts\": " << quorum_blocked << ",\n";
-  os << "    \"zombie_commit_attempts\": " << zombie_attempts << ",\n";
-  os << "    \"zombie_commits_rejected\": " << zombie_rejected << "\n";
-  os << "  },\n";
+  // Each section lists (JSON key, value) rows; most values are summed
+  // registry counters.
+  using Rows = std::vector<std::pair<const char*, std::string>>;
+  const std::vector<std::pair<const char*, Rows>> sections = {
+      {"fault_totals",
+       {{"function_failures", num(total_failures)},
+        {"node_kills", count("injected_node_kills")},
+        {"gray_windows", count("injected_gray_windows")},
+        {"heartbeats_dropped", count("heartbeats_dropped")},
+        {"heartbeats_delayed", count("heartbeats_delayed")},
+        {"store_entries_dropped", count("injected_store_drops")},
+        {"store_entries_corrupted", count("injected_store_corruptions")}}},
+      {"detection",
+       {{"suspicions", count("worker_suspicions")},
+        {"false_suspicions", count("false_suspicions")},
+        {"recovery_stalls", count("recovery_stalls")},
+        {"max_latency_s", num(max_detection)}}},
+      {"traffic_totals",
+       {{"offered", count("traffic_offered")},
+        {"admitted", count("traffic_admitted")},
+        {"shed", count("traffic_shed")},
+        {"completed", count("traffic_completed")}}},
+      {"hedge_totals",
+       {{"fired", count("hedges_fired")},
+        {"wins", count("hedge_wins")},
+        {"cancelled", count("hedges_cancelled")}}},
+      {"partition_totals",
+       {{"partitions_started", count("injected_partitions")},
+        {"partitions_healed", count("injected_partition_heals")},
+        {"zone_outages", count("injected_zone_outages")},
+        {"heartbeats_partition_dropped",
+         count("heartbeats_partition_dropped")},
+        {"stale_epoch_rejects", std::to_string(stale_epoch_rejects)},
+        {"quorum_blocked_puts", std::to_string(quorum_blocked)},
+        {"zombie_commit_attempts", count("zombie_commit_attempts")},
+        {"zombie_commits_rejected", count("zombie_commits_rejected")}}},
+  };
+  for (const auto& [section, rows] : sections) {
+    os << "  \"" << section << "\": {\n";
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      os << "    \"" << rows[i].first << "\": " << rows[i].second
+         << (i + 1 < rows.size() ? ",\n" : "\n");
+    }
+    os << "  },\n";
+  }
   os << "  \"oracles\": {\n";
   os << "    \"checked\": [\"completion\", \"exactly_once\", "
         "\"no_corrupt_restore\", \"detection_bound\", \"ledger_balance\", "

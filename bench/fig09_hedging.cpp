@@ -157,11 +157,14 @@ StrategyResult run_strategy(const std::string& name,
     out.completed += result.traffic.completed;
     out.shed += result.traffic.shed;
     out.cost_usd += result.cost_usd;
-    out.hedges_fired += result.hedge.fired;
-    out.hedge_wins += result.hedge.wins;
-    out.hedges_cancelled += result.hedge.cancelled;
-    out.hedges_denied += result.hedge.denied;
-    out.open_races += result.hedge.open;
+    const auto count = [&result](const char* counter) {
+      return static_cast<std::uint64_t>(result.metrics.counter(counter));
+    };
+    out.hedges_fired += count("hedges_fired");
+    out.hedge_wins += count("hedge_wins");
+    out.hedges_cancelled += count("hedges_cancelled");
+    out.hedges_denied += count("hedges_denied");
+    out.open_races += result.hedge_open_races;
     out.completed_ok = out.completed_ok && result.completed;
   }
   return out;

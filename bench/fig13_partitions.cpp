@@ -175,20 +175,17 @@ StrategyResult run_strategy(const Variant& variant, bool spread, int reps) {
         jobs);
     out.recovery_s += result.total_recovery_s;
     out.makespan_s += result.makespan_s;
-    auto counter = [&result](const char* name) -> std::uint64_t {
-      auto it = result.counters.find(name);
-      return it == result.counters.end()
-                 ? 0
-                 : static_cast<std::uint64_t>(it->second);
+    const auto count = [&result](const char* counter) {
+      return static_cast<std::uint64_t>(result.metrics.counter(counter));
     };
-    out.double_execution_attempts += counter("zombie_commit_attempts");
-    out.zombie_commits_rejected += counter("zombie_commits_rejected");
-    out.zombie_commits_committed += counter("zombie_commits_committed");
+    out.double_execution_attempts += count("zombie_commit_attempts");
+    out.zombie_commits_rejected += count("zombie_commits_rejected");
+    out.zombie_commits_committed += count("zombie_commits_committed");
     out.stale_epoch_rejects += result.kv_stale_epoch_rejects;
     out.quorum_blocked_puts += result.kv_quorum_blocked_puts;
-    out.partitions_started += result.injected_partitions;
-    out.partitions_healed += result.injected_partition_heals;
-    out.zone_outages += result.injected_zone_outages;
+    out.partitions_started += count("injected_partitions");
+    out.partitions_healed += count("injected_partition_heals");
+    out.zone_outages += count("injected_zone_outages");
     out.partitions_active_end += result.partitions_active_end;
     out.completed = out.completed && result.completed;
   }

@@ -24,6 +24,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/table.hpp"
@@ -38,6 +39,7 @@ using canary::TextTable;
 using canary::harness::RunResult;
 using canary::harness::ScenarioConfig;
 using canary::harness::ScenarioRunner;
+using canary::obs::MetricRegistry;
 
 bool quick_mode() {
   const char* v = std::getenv("CANARY_QUICK");
@@ -94,21 +96,33 @@ ScenarioConfig base_config(Duration horizon) {
   return config;
 }
 
+// Readers of the run's registry: arrival-to-completion latency and
+// submission wait percentiles in ms, and counters as integers.
+double latency_ms(const MetricRegistry& m, double p) {
+  return m.histogram("traffic_latency").percentile(p) * 1e3;
+}
+
+std::uint64_t count(const MetricRegistry& m, const char* counter) {
+  return static_cast<std::uint64_t>(m.counter(counter));
+}
+
 struct Point {
   double load = 0.0;
-  RunResult::TrafficSummary t;
+  RunResult run;
   double horizon_s = 0.0;
 
   double offered_rps() const {
-    return static_cast<double>(t.offered) / horizon_s;
+    return static_cast<double>(run.traffic.offered) / horizon_s;
   }
   double goodput_rps() const {
-    return static_cast<double>(t.completed) / horizon_s;
+    return static_cast<double>(run.traffic.completed) / horizon_s;
   }
 };
 
 void write_summary_json(std::ostream& os, const std::string& indent,
-                        const RunResult::TrafficSummary& t) {
+                        const RunResult& run) {
+  const RunResult::TrafficSummary& t = run.traffic;
+  const MetricRegistry& m = run.metrics;
   os << indent << "\"offered\": " << t.offered << ",\n";
   os << indent << "\"admitted\": " << t.admitted << ",\n";
   os << indent << "\"shed\": " << t.shed << ",\n";
@@ -116,13 +130,14 @@ void write_summary_json(std::ostream& os, const std::string& indent,
   os << indent << "\"failed\": " << t.failed << ",\n";
   os << indent << "\"in_flight\": " << t.in_flight << ",\n";
   os << indent << "\"queued_end\": " << t.queued_end << ",\n";
-  os << indent << "\"queue_peak\": " << t.queue_peak << ",\n";
-  os << indent << "\"p50_ms\": " << num(t.latency_p50_ms) << ",\n";
-  os << indent << "\"p99_ms\": " << num(t.latency_p99_ms) << ",\n";
-  os << indent << "\"queue_wait_p99_ms\": " << num(t.queue_wait_p99_ms)
-     << ",\n";
+  os << indent << "\"queue_peak\": "
+     << static_cast<std::uint64_t>(m.gauge("traffic_queue_peak")) << ",\n";
+  os << indent << "\"p50_ms\": " << num(latency_ms(m, 50.0)) << ",\n";
+  os << indent << "\"p99_ms\": " << num(latency_ms(m, 99.0)) << ",\n";
+  os << indent << "\"queue_wait_p99_ms\": "
+     << num(m.histogram("traffic_queue_wait").p99() * 1e3) << ",\n";
   os << indent << "\"conservation_ok\": "
-     << (t.conservation_ok ? "true" : "false");
+     << (t.conserved() ? "true" : "false");
 }
 
 }  // namespace
@@ -155,27 +170,30 @@ int main(int argc, char** argv) {
   for (const double load : loads) {
     ScenarioConfig config = base_config(horizon);
     config.traffic.streams.push_back(web_stream(load * capacity));
-    const RunResult result = ScenarioRunner::run(config, {});
     Point p;
     p.load = load;
-    p.t = result.traffic;
+    p.run = ScenarioRunner::run(config, {});
     p.horizon_s = horizon.to_seconds();
-    if (!p.t.conservation_ok) {
+    const RunResult::TrafficSummary& t = p.run.traffic;
+    if (!t.conserved()) {
       violations.push_back("conservation violated at load " + num(load));
     }
-    if (load <= 0.75 && p.t.shed != 0) {
-      violations.push_back("shed " + std::to_string(p.t.shed) +
+    if (load <= 0.75 && t.shed != 0) {
+      violations.push_back("shed " + std::to_string(t.shed) +
                            " arrival(s) at subcritical load " + num(load));
     }
-    points.push_back(p);
+    points.push_back(std::move(p));
   }
 
   TextTable curve({"load", "offered [rps]", "goodput [rps]", "shed",
                    "p50 [ms]", "p99 [ms]", "queue peak"});
   for (const Point& p : points) {
+    const MetricRegistry& m = p.run.metrics;
     curve.add_row({num(p.load), num(p.offered_rps()), num(p.goodput_rps()),
-                   std::to_string(p.t.shed), num(p.t.latency_p50_ms),
-                   num(p.t.latency_p99_ms), std::to_string(p.t.queue_peak)});
+                   std::to_string(p.run.traffic.shed),
+                   num(latency_ms(m, 50.0)), num(latency_ms(m, 99.0)),
+                   std::to_string(static_cast<std::uint64_t>(
+                       m.gauge("traffic_queue_peak")))});
   }
   curve.print(std::cout);
 
@@ -196,7 +214,7 @@ int main(int argc, char** argv) {
   };
   const RunResult burst_off = ScenarioRunner::run(burst_config(false), {});
   const RunResult burst_on = ScenarioRunner::run(burst_config(true), {});
-  if (!burst_off.traffic.conservation_ok || !burst_on.traffic.conservation_ok) {
+  if (!burst_off.traffic.conserved() || !burst_on.traffic.conserved()) {
     violations.push_back("conservation violated in burst section");
   }
 
@@ -204,12 +222,15 @@ int main(int argc, char** argv) {
                    "scale ups", "scale ins", "launched", "retired"});
   for (const RunResult* r : {&burst_off, &burst_on}) {
     const auto& t = r->traffic;
-    burst.add_row({r == &burst_off ? "off" : "on", std::to_string(t.offered),
-                   std::to_string(t.completed), std::to_string(t.shed),
-                   num(t.latency_p99_ms), std::to_string(t.scale_ups),
-                   std::to_string(t.scale_ins),
-                   std::to_string(t.containers_launched),
-                   std::to_string(t.containers_retired)});
+    const MetricRegistry& m = r->metrics;
+    burst.add_row(
+        {r == &burst_off ? "off" : "on", std::to_string(t.offered),
+         std::to_string(t.completed), std::to_string(t.shed),
+         num(latency_ms(m, 99.0)),
+         std::to_string(count(m, "autoscaler_scale_ups")),
+         std::to_string(count(m, "autoscaler_scale_ins")),
+         std::to_string(count(m, "autoscaler_containers_launched")),
+         std::to_string(count(m, "autoscaler_containers_retired"))});
   }
   std::cout << "\nburst response (on/off arrivals, 90%/5% of capacity):\n";
   burst.print(std::cout);
@@ -220,15 +241,16 @@ int main(int argc, char** argv) {
   overload.traffic.streams.push_back(web_stream(1.2 * capacity));
   overload.node_failure_offsets.push_back(horizon * 0.4);
   const RunResult failure_run = ScenarioRunner::run(overload, {});
-  if (!failure_run.traffic.conservation_ok) {
+  if (!failure_run.traffic.conserved()) {
     violations.push_back("conservation violated in overload+failure section");
   }
   const auto& ft = failure_run.traffic;
   std::cout << "\noverload (1.2x) + node failure at "
             << (horizon * 0.4).to_seconds() << " s: offered " << ft.offered
             << ", completed " << ft.completed << ", shed " << ft.shed
-            << ", p99 " << num(ft.latency_p99_ms) << " ms, node kills "
-            << failure_run.injected_node_kills << "\n";
+            << ", p99 " << num(latency_ms(failure_run.metrics, 99.0))
+            << " ms, node kills "
+            << count(failure_run.metrics, "injected_node_kills") << "\n";
 
   // ---- canary.traffic/v1 report ----------------------------------------
   const char* dir = std::getenv("CANARY_REPORT_DIR");
@@ -259,26 +281,29 @@ int main(int argc, char** argv) {
     os << "      \"load_factor\": " << num(p.load) << ",\n";
     os << "      \"offered_rps\": " << num(p.offered_rps()) << ",\n";
     os << "      \"goodput_rps\": " << num(p.goodput_rps()) << ",\n";
-    write_summary_json(os, "      ", p.t);
+    write_summary_json(os, "      ", p.run);
     os << "\n    }";
   }
   os << "\n  ],\n";
   os << "  \"burst\": {\n";
   os << "    \"without_autoscaler\": {\n";
-  write_summary_json(os, "      ", burst_off.traffic);
+  write_summary_json(os, "      ", burst_off);
   os << "\n    },\n";
   os << "    \"with_autoscaler\": {\n";
-  write_summary_json(os, "      ", burst_on.traffic);
-  os << ",\n      \"scale_ups\": " << burst_on.traffic.scale_ups << ",\n";
-  os << "      \"scale_ins\": " << burst_on.traffic.scale_ins << ",\n";
-  os << "      \"containers_launched\": " << burst_on.traffic.containers_launched
+  write_summary_json(os, "      ", burst_on);
+  const MetricRegistry& on = burst_on.metrics;
+  os << ",\n      \"scale_ups\": " << count(on, "autoscaler_scale_ups")
      << ",\n";
-  os << "      \"containers_retired\": " << burst_on.traffic.containers_retired
-     << "\n    }\n";
+  os << "      \"scale_ins\": " << count(on, "autoscaler_scale_ins") << ",\n";
+  os << "      \"containers_launched\": "
+     << count(on, "autoscaler_containers_launched") << ",\n";
+  os << "      \"containers_retired\": "
+     << count(on, "autoscaler_containers_retired") << "\n    }\n";
   os << "  },\n";
   os << "  \"overload_failure\": {\n";
-  write_summary_json(os, "    ", failure_run.traffic);
-  os << ",\n    \"node_kills\": " << failure_run.injected_node_kills << "\n";
+  write_summary_json(os, "    ", failure_run);
+  os << ",\n    \"node_kills\": "
+     << count(failure_run.metrics, "injected_node_kills") << "\n";
   os << "  },\n";
   os << "  \"conservation\": {\n";
   os << "    \"ok\": " << (violations.empty() ? "true" : "false") << ",\n";

@@ -282,7 +282,6 @@ void CoreModule::recovery_watch_fired(FunctionId id) {
   }
   RecoveryWatch& watch = it->second;
   ++watch.stalls;
-  ++recovery_stalls_;
   platform_.metrics().count("recovery_stalls");
   const NodeId stalled = watch.target;
   if (inv.phase == faas::Phase::kLaunching ||

@@ -18,7 +18,6 @@
 // constant-oracle PlatformConfig::failure_detect_delay.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "canary/metadata.hpp"
@@ -62,6 +61,10 @@ class FailureDetectorListener {
   virtual void on_worker_confirmed_dead(NodeId node) { (void)node; }
 };
 
+/// Every heartbeat and suspicion-lifecycle count (heartbeats_sent,
+/// heartbeats_dropped, heartbeats_delayed, heartbeats_partition_dropped,
+/// worker_suspicions, false_suspicions, workers_confirmed_dead) is
+/// recorded in the platform's metric registry where the event happens.
 class FailureDetector {
  public:
   FailureDetector(sim::Simulator& simulator, faas::Platform& platform,
@@ -100,17 +103,6 @@ class FailureDetector {
            config_.sweep_interval;
   }
 
-  std::uint64_t heartbeats_sent() const { return heartbeats_sent_; }
-  std::uint64_t heartbeats_lost() const { return heartbeats_lost_; }
-  /// Beats that never reached the controller because the sender was on
-  /// the minority side of an active partition.
-  std::uint64_t heartbeats_partition_dropped() const {
-    return heartbeats_partition_dropped_;
-  }
-  std::uint64_t suspicions() const { return suspicions_; }
-  std::uint64_t false_suspicions() const { return false_suspicions_; }
-  std::uint64_t confirmed_dead() const { return confirmed_dead_; }
-
  private:
   struct WorkerState {
     TimePoint last_heartbeat;
@@ -137,12 +129,6 @@ class FailureDetector {
   MetadataStore* metadata_ = nullptr;
   std::vector<WorkerState> workers_;  // indexed by node id - 1
   bool started_ = false;
-  std::uint64_t heartbeats_sent_ = 0;
-  std::uint64_t heartbeats_lost_ = 0;
-  std::uint64_t heartbeats_partition_dropped_ = 0;
-  std::uint64_t suspicions_ = 0;
-  std::uint64_t false_suspicions_ = 0;
-  std::uint64_t confirmed_dead_ = 0;
 };
 
 }  // namespace canary::core

@@ -76,7 +76,7 @@ void FailureInjector::fire_node_failure(sim::Simulator& simulator,
                                         faas::Platform& platform,
                                         kv::KvStore* store, NodeId victim,
                                         const char* what, obs::EventId cause) {
-  ++node_kills_;
+  platform.metrics().count("injected_node_kills");
   annotate_injection(simulator, platform, victim, what);
   platform.fail_node(victim, cause);
   if (store != nullptr) store->fail_node(victim);
@@ -97,7 +97,7 @@ void FailureInjector::schedule_node_failure(sim::Simulator& simulator,
       // (and in partitioned mode re-prune) its KV entries.
       if (!platform.cluster().contains(*victim) ||
           !platform.cluster().node(*victim).alive()) {
-        ++skipped_node_kills_;
+        platform.metrics().count("injected_skipped_node_kills");
         return;
       }
       target = *victim;
@@ -146,7 +146,7 @@ void FailureInjector::schedule_correlated_node_failure(
     // schedule_node_failure — one node, one death in the accounting.
     simulator.schedule_at(when, [this, &simulator, &platform, store, node] {
       if (!platform.cluster().node(node).alive()) {
-        ++skipped_node_kills_;
+        platform.metrics().count("injected_skipped_node_kills");
         return;
       }
       if (platform.cluster().alive_count() <= 1) return;
@@ -174,7 +174,7 @@ void FailureInjector::schedule_gray_window(sim::Simulator& simulator,
     } else {
       return;  // requested victim already dead
     }
-    ++gray_windows_;
+    platform.metrics().count("injected_gray_windows");
     // Stack with any narrower gray window already in force.
     platform.set_node_slowdown(
         target, platform.cluster().node(target).slowdown() * slowdown);
@@ -211,14 +211,10 @@ std::optional<Duration> FailureInjector::heartbeat_delay(NodeId node,
           node.value() * 2654435761ULL +
           static_cast<std::uint64_t>((send_time - TimePoint::origin())
                                          .count_usec()));
-      if (draw.bernoulli(fault.drop_rate)) {
-        ++heartbeats_dropped_;
-        return std::nullopt;
-      }
+      if (draw.bernoulli(fault.drop_rate)) return std::nullopt;
     }
     if (fault.delay > delay) delay = fault.delay;
   }
-  if (delay > Duration::zero()) ++heartbeats_delayed_;
   return delay;
 }
 
@@ -245,7 +241,7 @@ void FailureInjector::schedule_store_fault(sim::Simulator& simulator,
     for (unsigned i = 0; i < lose; ++i) {
       if (auto key = pick()) {
         if (store.drop_entry(*key)) {
-          ++store_entries_dropped_;
+          platform.metrics().count("injected_store_drops");
           fired = true;
         }
       }
@@ -253,7 +249,7 @@ void FailureInjector::schedule_store_fault(sim::Simulator& simulator,
     for (unsigned i = 0; i < corrupt; ++i) {
       if (auto key = pick()) {
         if (store.corrupt_entry(*key)) {
-          ++store_entries_corrupted_;
+          platform.metrics().count("injected_store_corruptions");
           fired = true;
         }
       }
@@ -278,15 +274,15 @@ void FailureInjector::schedule_partition(sim::Simulator& simulator,
       // Degenerate window (e.g. every member of a cut zone died before
       // it opened): nothing to block, but it still counts as started and
       // healed, so the counters match the scheduled windows.
-      ++partitions_started_;
-      ++partitions_healed_;
+      platform.metrics().count("injected_partitions");
+      platform.metrics().count("injected_partition_heals");
       return;
     }
     auto& net = platform.network();
     const auto forward = net.block(from, to);
     const auto reverse =
         symmetric ? net.block(to, from) : cluster::NetworkModel::RuleId{0};
-    ++partitions_started_;
+    platform.metrics().count("injected_partitions");
     annotate_injection(simulator, platform, NodeId::invalid(),
                        "partition_start");
     simulator.schedule_after(duration, [this, &simulator, &platform, forward,
@@ -294,7 +290,7 @@ void FailureInjector::schedule_partition(sim::Simulator& simulator,
       auto& healed = platform.network();
       healed.unblock(forward);
       if (symmetric) healed.unblock(reverse);
-      ++partitions_healed_;
+      platform.metrics().count("injected_partition_heals");
       annotate_injection(simulator, platform, NodeId::invalid(),
                          "partition_heal");
     });
@@ -326,7 +322,7 @@ void FailureInjector::schedule_zone_outage(sim::Simulator& simulator,
                                            kv::KvStore* store, TimePoint when,
                                            std::uint32_t zone) {
   simulator.schedule_at(when, [this, &simulator, &platform, store, zone] {
-    ++zone_outages_;
+    platform.metrics().count("injected_zone_outages");
     // One causal root for the whole outage: every member's kNodeFailure
     // event carries a cause edge back to it, so the trace shows a single
     // domain-level event fanning out to correlated kills.
@@ -337,7 +333,7 @@ void FailureInjector::schedule_zone_outage(sim::Simulator& simulator,
         // Overlap with an earlier scheduled kill on this member: one
         // death, one count — the correlated extension of the PR4
         // double-kill guard.
-        ++skipped_node_kills_;
+        platform.metrics().count("injected_skipped_node_kills");
         continue;
       }
       // Keep at least one node alive so the workload can finish.

@@ -13,6 +13,14 @@
 // Node-level failures (§V-D6) take down a whole worker: every hosted
 // container dies and, unless the KV store replicates or persists them,
 // the checkpoints cached on that node are lost.
+//
+// Every scheduled fault that fires is counted in the platform's metric
+// registry under an injected_* name (injected_node_kills,
+// injected_skipped_node_kills, injected_gray_windows,
+// injected_store_drops, injected_store_corruptions, injected_partitions,
+// injected_partition_heals, injected_zone_outages). Heartbeat drops and
+// delays are counted by the failure detector that consults
+// heartbeat_delay().
 #pragma once
 
 #include <cstdint>
@@ -60,9 +68,9 @@ class FailureInjector : public faas::FailurePolicy,
   /// Schedule a node-level failure at `when`: a victim is drawn weighted
   /// by hardware failure proneness, the platform kills its containers,
   /// and the KV store drops the victim's cached entries. A victim that is
-  /// already dead at fire time is skipped (counted in skipped_node_kills)
-  /// so two failure events landing near the same time cannot double-kill
-  /// a node and double-drop its KV entries.
+  /// already dead at fire time is skipped (counted in
+  /// injected_skipped_node_kills) so two failure events landing near the
+  /// same time cannot double-kill a node and double-drop its KV entries.
   void schedule_node_failure(sim::Simulator& simulator,
                              faas::Platform& platform, kv::KvStore* store,
                              TimePoint when,
@@ -135,26 +143,15 @@ class FailureInjector : public faas::FailurePolicy,
   /// Correlated zone outage: every still-alive member of `zone` dies at
   /// `when`, all kills sharing ONE causal zone_outage event in the obs
   /// DAG. Members already taken down by an earlier scheduled failure are
-  /// skipped and counted in skipped_node_kills — the same double-kill
-  /// guard as schedule_node_failure, extended to correlated kills.
+  /// skipped and counted in injected_skipped_node_kills — the same
+  /// double-kill guard as schedule_node_failure, extended to correlated
+  /// kills.
   void schedule_zone_outage(sim::Simulator& simulator,
                             faas::Platform& platform, kv::KvStore* store,
                             TimePoint when, std::uint32_t zone);
 
-  std::uint64_t partitions_started() const { return partitions_started_; }
-  std::uint64_t partitions_healed() const { return partitions_healed_; }
-  std::uint64_t zone_outages() const { return zone_outages_; }
-
+  /// Container kills planned by plan_kill (the error-rate draws).
   std::uint64_t planned_kills() const { return planned_kills_; }
-  std::uint64_t node_kills() const { return node_kills_; }
-  std::uint64_t skipped_node_kills() const { return skipped_node_kills_; }
-  std::uint64_t gray_windows() const { return gray_windows_; }
-  std::uint64_t heartbeats_dropped() const { return heartbeats_dropped_; }
-  std::uint64_t heartbeats_delayed() const { return heartbeats_delayed_; }
-  std::uint64_t store_entries_dropped() const { return store_entries_dropped_; }
-  std::uint64_t store_entries_corrupted() const {
-    return store_entries_corrupted_;
-  }
 
  private:
   struct Plan {
@@ -178,16 +175,6 @@ class FailureInjector : public faas::FailurePolicy,
   std::vector<Duration> first_busy_;
   std::vector<HeartbeatFault> heartbeat_faults_;
   std::uint64_t planned_kills_ = 0;
-  std::uint64_t node_kills_ = 0;
-  std::uint64_t skipped_node_kills_ = 0;
-  std::uint64_t gray_windows_ = 0;
-  std::uint64_t heartbeats_dropped_ = 0;
-  std::uint64_t heartbeats_delayed_ = 0;
-  std::uint64_t store_entries_dropped_ = 0;
-  std::uint64_t store_entries_corrupted_ = 0;
-  std::uint64_t partitions_started_ = 0;
-  std::uint64_t partitions_healed_ = 0;
-  std::uint64_t zone_outages_ = 0;
 };
 
 }  // namespace canary::failure

@@ -305,6 +305,9 @@ std::vector<std::string> chaos_oracles(const ChaosScenario& scenario,
   auto violate = [&violations](const std::string& what) {
     violations.push_back(what);
   };
+  auto count = [&result](const char* name) {
+    return static_cast<std::uint64_t>(result.metrics.counter(name));
+  };
 
   // 1. Completion: recovery terminated and every job finished.
   if (!result.completed) {
@@ -320,8 +323,7 @@ std::vector<std::string> chaos_oracles(const ChaosScenario& scenario,
   }
 
   // 3. A corrupt checkpoint must never be selected for restore.
-  if (auto it = result.counters.find("restored_corrupt_checkpoints");
-      it != result.counters.end() && it->second > 0.0) {
+  if (count("restored_corrupt_checkpoints") > 0) {
     violate("corrupt-restore: a damaged checkpoint was selected");
   }
 
@@ -336,7 +338,7 @@ std::vector<std::string> chaos_oracles(const ChaosScenario& scenario,
   // 7. Traffic conservation: exactly-once accounting for every arrival.
   if (result.traffic.enabled) {
     const auto& t = result.traffic;
-    if (!t.conservation_ok) {
+    if (!t.conserved()) {
       std::ostringstream os;
       os << "conservation: offered=" << t.offered << " admitted=" << t.admitted
          << " shed=" << t.shed << " completed=" << t.completed
@@ -352,18 +354,26 @@ std::vector<std::string> chaos_oracles(const ChaosScenario& scenario,
     }
   }
 
-  // 8. Hedge exactly-once: every fired hedge resolves exactly once.
-  if (result.hedge.enabled) {
-    const auto& h = result.hedge;
-    if (h.fired != h.wins + h.cancelled + h.open) {
+  // 8. Hedge exactly-once: every fired hedge resolves exactly once. The
+  // open-race count is the handler's own, so the identity is checked
+  // against an independent reading, not derived from it.
+  const bool hedged_run =
+      scenario.config.strategy.kind == recovery::StrategyKind::kHedge;
+  const std::uint64_t hedges_fired = count("hedges_fired");
+  const std::uint64_t hedge_wins = count("hedge_wins");
+  const std::uint64_t hedges_cancelled = count("hedges_cancelled");
+  if (hedged_run) {
+    const std::uint64_t open = result.hedge_open_races;
+    if (hedges_fired != hedge_wins + hedges_cancelled + open) {
       std::ostringstream os;
-      os << "hedge-exactly-once: fired=" << h.fired << " != wins=" << h.wins
-         << " + cancelled=" << h.cancelled << " + open=" << h.open;
+      os << "hedge-exactly-once: fired=" << hedges_fired
+         << " != wins=" << hedge_wins << " + cancelled=" << hedges_cancelled
+         << " + open=" << open;
       violate(os.str());
     }
-    if (result.completed && h.open != 0) {
+    if (result.completed && open != 0) {
       std::ostringstream os;
-      os << "hedge-exactly-once: completed run left " << h.open
+      os << "hedge-exactly-once: completed run left " << open
          << " race(s) open";
       violate(os.str());
     }
@@ -373,13 +383,12 @@ std::vector<std::string> chaos_oracles(const ChaosScenario& scenario,
   // executing, but every commit it attempts must be rejected at the
   // store's epoch gate. Together with oracle 2 (one kComplete per
   // function) this bounds committed side effects at one per invocation.
-  auto counter = [&result](const char* name) -> double {
-    auto it = result.counters.find(name);
-    return it == result.counters.end() ? 0.0 : it->second;
-  };
-  const double zombie_attempts = counter("zombie_commit_attempts");
-  const double zombie_committed = counter("zombie_commits_committed");
-  const double zombie_rejected = counter("zombie_commits_rejected");
+  const double zombie_attempts =
+      result.metrics.counter("zombie_commit_attempts");
+  const double zombie_committed =
+      result.metrics.counter("zombie_commits_committed");
+  const double zombie_rejected =
+      result.metrics.counter("zombie_commits_rejected");
   if (zombie_committed > 0.0) {
     std::ostringstream os;
     os << "no-split-brain: " << zombie_committed
@@ -395,12 +404,13 @@ std::vector<std::string> chaos_oracles(const ChaosScenario& scenario,
   }
 
   // 10. Heal convergence: after the last heal the cluster's views agree.
-  if (result.injected_partitions > 0 || result.injected_zone_outages > 0) {
-    if (result.injected_partition_heals != result.injected_partitions) {
+  const std::uint64_t partitions = count("injected_partitions");
+  const std::uint64_t heals = count("injected_partition_heals");
+  if (partitions > 0 || count("injected_zone_outages") > 0) {
+    if (heals != partitions) {
       std::ostringstream os;
-      os << "heal-convergence: " << result.injected_partitions
-         << " partition(s) started but " << result.injected_partition_heals
-         << " healed";
+      os << "heal-convergence: " << partitions << " partition(s) started but "
+         << heals << " healed";
       violate(os.str());
     }
     if (result.partitions_active_end != 0) {
@@ -423,24 +433,23 @@ std::vector<std::string> chaos_oracles(const ChaosScenario& scenario,
   }
   const auto& events = result.events->events();
 
-  if (result.hedge.enabled) {
+  if (hedged_run) {
     const std::size_t hedged =
         result.events->count_of(obs::EventKind::kHedged);
     const std::size_t cancelled =
         result.events->count_of(obs::EventKind::kHedgeCancelled);
-    const auto& h = result.hedge;
-    if (hedged != h.fired) {
+    if (hedged != hedges_fired) {
       std::ostringstream os;
       os << "hedge-exactly-once: " << hedged << " kHedged event(s) vs "
-         << h.fired << " fired";
+         << hedges_fired << " fired";
       violate(os.str());
     }
     // Every resolved race emits exactly one kHedgeCancelled — on the
     // primary when the clone won, on the clone otherwise.
-    if (cancelled != h.wins + h.cancelled) {
+    if (cancelled != hedge_wins + hedges_cancelled) {
       std::ostringstream os;
       os << "hedge-exactly-once: " << cancelled
-         << " kHedgeCancelled event(s) vs " << h.wins + h.cancelled
+         << " kHedgeCancelled event(s) vs " << hedge_wins + hedges_cancelled
          << " resolved race(s)";
       violate(os.str());
     }
@@ -548,18 +557,9 @@ ChaosOutcome evaluate_scenario(const ChaosScenario& scenario,
   out.completed = result.completed;
   out.makespan_s = result.makespan_s;
   out.failures = result.failures;
-  out.node_kills = result.injected_node_kills;
-  out.gray_windows = result.injected_gray_windows;
-  out.heartbeats_dropped = result.injected_heartbeats_dropped;
-  out.heartbeats_delayed = result.injected_heartbeats_delayed;
-  out.store_entries_dropped = result.injected_store_drops;
-  out.store_entries_corrupted = result.injected_store_corruptions;
-  out.detector_suspicions = result.detector_suspicions;
-  out.detector_false_suspicions = result.detector_false_suspicions;
-  if (auto it = result.counters.find("recovery_stalls");
-      it != result.counters.end()) {
-    out.recovery_stalls = static_cast<std::uint64_t>(it->second);
-  }
+  out.counters = result.metrics.counters();
+  out.stale_epoch_rejects = result.kv_stale_epoch_rejects;
+  out.quorum_blocked_puts = result.kv_quorum_blocked_puts;
 
   const auto& det = scenario.config.detection;
   out.detection_bound_s =
@@ -568,30 +568,6 @@ ChaosOutcome evaluate_scenario(const ChaosScenario& scenario,
        det.sweep_interval * 2.0 + scenario.max_heartbeat_delay)
           .to_seconds();
   out.max_detection_latency_s = max_detection_latency_s(result.events.get());
-
-  out.traffic_offered = result.traffic.offered;
-  out.traffic_admitted = result.traffic.admitted;
-  out.traffic_shed = result.traffic.shed;
-  out.traffic_completed = result.traffic.completed;
-
-  out.hedges_fired = result.hedge.fired;
-  out.hedge_wins = result.hedge.wins;
-  out.hedges_cancelled = result.hedge.cancelled;
-
-  out.partitions_started = result.injected_partitions;
-  out.partitions_healed = result.injected_partition_heals;
-  out.zone_outages = result.injected_zone_outages;
-  out.heartbeats_partition_dropped = result.heartbeats_partition_dropped;
-  out.stale_epoch_rejects = result.kv_stale_epoch_rejects;
-  out.quorum_blocked_puts = result.kv_quorum_blocked_puts;
-  if (auto it = result.counters.find("zombie_commit_attempts");
-      it != result.counters.end()) {
-    out.zombie_commit_attempts = static_cast<std::uint64_t>(it->second);
-  }
-  if (auto it = result.counters.find("zombie_commits_rejected");
-      it != result.counters.end()) {
-    out.zombie_commits_rejected = static_cast<std::uint64_t>(it->second);
-  }
 
   out.violations = chaos_oracles(scenario, result);
   return out;

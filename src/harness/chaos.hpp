@@ -45,6 +45,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -95,36 +96,20 @@ struct ChaosOutcome {
   double failures = 0.0;
   double max_detection_latency_s = 0.0;
   double detection_bound_s = 0.0;
-  // Injected fault totals (for the campaign report).
-  std::uint64_t node_kills = 0;
-  std::uint64_t gray_windows = 0;
-  std::uint64_t heartbeats_dropped = 0;
-  std::uint64_t heartbeats_delayed = 0;
-  std::uint64_t store_entries_dropped = 0;
-  std::uint64_t store_entries_corrupted = 0;
-  std::uint64_t detector_suspicions = 0;
-  std::uint64_t detector_false_suspicions = 0;
-  std::uint64_t recovery_stalls = 0;
-  // Open-loop traffic totals (zero for non-traffic scenarios).
-  std::uint64_t traffic_offered = 0;
-  std::uint64_t traffic_admitted = 0;
-  std::uint64_t traffic_shed = 0;
-  std::uint64_t traffic_completed = 0;
-  // Hedge-race totals (zero for non-hedge scenarios).
-  std::uint64_t hedges_fired = 0;
-  std::uint64_t hedge_wins = 0;
-  std::uint64_t hedges_cancelled = 0;
-  // Partition-surface totals (zero for non-partition scenarios).
-  std::uint64_t partitions_started = 0;
-  std::uint64_t partitions_healed = 0;
-  std::uint64_t zone_outages = 0;
-  std::uint64_t heartbeats_partition_dropped = 0;
+  /// The run's registry counters: injected faults, detector verdicts,
+  /// recovery stalls, traffic arrivals, hedge races, zombie commits.
+  std::map<std::string, double> counters;
+  /// Epoch-fence rejections reported by the KV store.
   std::uint64_t stale_epoch_rejects = 0;
   std::uint64_t quorum_blocked_puts = 0;
-  std::uint64_t zombie_commit_attempts = 0;
-  std::uint64_t zombie_commits_rejected = 0;
   /// Human-readable oracle violations; empty = scenario passed.
   std::vector<std::string> violations;
+
+  /// One registry counter of the run (0 when it never fired).
+  double counter(const std::string& name) const {
+    const auto it = counters.find(name);
+    return it == counters.end() ? 0.0 : it->second;
+  }
 };
 
 /// Run one seeded scenario and evaluate every oracle.

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstddef>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -25,8 +24,6 @@ struct Aggregate {
   SampleSet lost_work_s;
   SampleSet sla_violations;
   std::size_t incomplete_runs = 0;
-  /// Per-run-mean of every metrics counter (e.g. "replica_recoveries").
-  std::map<std::string, double> counter_sums;
   /// Merged registry across repetitions: counters sum, histograms merge
   /// bucket-wise (so percentiles cover every repetition's samples).
   obs::MetricRegistry metrics;
@@ -44,6 +41,8 @@ struct Aggregate {
   obs::TimeSeries timeseries;
 
   void add(const RunResult& run);
+  /// Per-run mean of one merged registry counter (e.g.
+  /// "replica_recoveries").
   double counter_mean(const std::string& name) const;
 };
 

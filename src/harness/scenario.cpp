@@ -317,50 +317,26 @@ RunResult ScenarioInstance::collect() {
   const cost::CostModel cost_model(config.pricing);
   result.cost = cost_model.breakdown(platform.usage());
   result.cost_usd = result.cost.total_usd;
-  result.counters = metrics.counters();
 
   // Usage-ledger balance: every interval non-negative and the per-purpose
   // split summing to the total (the chaos campaign's billing oracle).
   const auto& ledger = platform.usage();
-  result.usage_records = ledger.records().size();
   for (const auto& record : ledger.records()) {
     if (record.end < record.start) ++result.usage_unbalanced;
   }
-  result.usage_gb_seconds = ledger.total_gb_seconds();
   {
+    const double total = ledger.total_gb_seconds();
     double split = 0.0;
     for (int p = 0; p < 4; ++p) {
       split +=
           ledger.gb_seconds_for(static_cast<faas::ContainerPurpose>(p));
     }
-    const double tolerance =
-        1e-6 * (result.usage_gb_seconds > 1.0 ? result.usage_gb_seconds : 1.0);
-    if (std::fabs(split - result.usage_gb_seconds) > tolerance) {
-      ++result.usage_unbalanced;
-    }
+    const double tolerance = 1e-6 * (total > 1.0 ? total : 1.0);
+    if (std::fabs(split - total) > tolerance) ++result.usage_unbalanced;
   }
 
-  if (detector) {
-    result.detector_suspicions = detector->suspicions();
-    result.detector_false_suspicions = detector->false_suspicions();
-    result.detector_confirmed_dead = detector->confirmed_dead();
-  }
   result.undetected_failures = platform.undetected_failures();
-  result.injected_node_kills = injector->node_kills();
-  result.injected_skipped_node_kills = injector->skipped_node_kills();
-  result.injected_gray_windows = injector->gray_windows();
-  result.injected_heartbeats_dropped = injector->heartbeats_dropped();
-  result.injected_heartbeats_delayed = injector->heartbeats_delayed();
-  result.injected_store_drops = injector->store_entries_dropped();
-  result.injected_store_corruptions = injector->store_entries_corrupted();
-  result.injected_partitions = injector->partitions_started();
-  result.injected_partition_heals = injector->partitions_healed();
-  result.injected_zone_outages = injector->zone_outages();
   result.partitions_active_end = network.active_rules();
-  if (detector) {
-    result.heartbeats_partition_dropped =
-        detector->heartbeats_partition_dropped();
-  }
   {
     const kv::KvStats kv_stats = store.stats();
     result.kv_stale_epoch_rejects = kv_stats.stale_epoch_rejects;
@@ -389,23 +365,7 @@ RunResult ScenarioInstance::collect() {
     }
   }
 
-  if (spans != nullptr) {
-    result.spans_recorded = spans->size();
-    result.spans_dropped = spans->dropped();
-  }
   if (events != nullptr) {
-    result.events_recorded = events->size();
-    result.events_dropped = events->dropped();
-    if (events->dropped() > 0) {
-      for (std::size_t k = 0; k < obs::kEventKindCount; ++k) {
-        const obs::EventKind kind = static_cast<obs::EventKind>(k);
-        const std::size_t dropped = events->dropped_of(kind);
-        if (dropped > 0) {
-          result.events_dropped_by_kind[std::string(obs::to_string_view(
-              kind))] = static_cast<std::uint64_t>(dropped);
-        }
-      }
-    }
     obs::CriticalPathAnalyzer analyzer(*events);
     result.breakdown = analyzer.report(slo.targets());
     if (config.tail.enabled) {
@@ -424,42 +384,15 @@ RunResult ScenarioInstance::collect() {
     t.failed = totals.failed;
     t.in_flight = traffic_gen->admission().total_in_flight();
     t.queued_end = traffic_gen->admission().total_queued();
-    t.queue_peak = totals.queue_peak;
-    t.latency_p50_ms = totals.latency.p50() * 1e3;
-    t.latency_p95_ms = totals.latency.p95() * 1e3;
-    t.latency_p99_ms = totals.latency.p99() * 1e3;
-    t.latency_p999_ms = totals.latency.percentile(99.9) * 1e3;
-    t.queue_wait_p99_ms = totals.queue_wait.p99() * 1e3;
-    if (autoscaler.has_value()) {
-      t.scale_ups = autoscaler->scale_ups();
-      t.scale_ins = autoscaler->scale_ins();
-      t.containers_launched = static_cast<std::uint64_t>(
-          metrics.counter("autoscaler_containers_launched"));
-      t.containers_retired = static_cast<std::uint64_t>(
-          metrics.counter("autoscaler_containers_retired"));
-    }
-    t.conservation_ok =
-        t.offered == t.admitted + t.shed + t.queued_end &&
-        t.admitted == t.completed + t.failed + t.in_flight;
     // Gauges only exist for traffic runs, so traffic-off reports stay
     // byte-identical.
-    metrics.set_gauge("traffic_queue_peak", static_cast<double>(t.queue_peak));
+    metrics.set_gauge("traffic_queue_peak",
+                      static_cast<double>(totals.queue_peak));
     metrics.set_gauge("traffic_in_flight_end",
                       static_cast<double>(t.in_flight));
     metrics.set_gauge("traffic_queued_end", static_cast<double>(t.queued_end));
-    result.counters = metrics.counters();
   }
-  if (hedge.has_value()) {
-    RunResult::HedgeSummary& h = result.hedge;
-    h.enabled = true;
-    h.fired = static_cast<std::uint64_t>(metrics.counter("hedges_fired"));
-    h.wins = static_cast<std::uint64_t>(metrics.counter("hedge_wins"));
-    h.cancelled =
-        static_cast<std::uint64_t>(metrics.counter("hedges_cancelled"));
-    h.denied = static_cast<std::uint64_t>(metrics.counter("hedges_denied"));
-    h.skipped = static_cast<std::uint64_t>(metrics.counter("hedges_skipped"));
-    h.open = hedge->open_races();
-  }
+  if (hedge.has_value()) result.hedge_open_races = hedge->open_races();
   if (series.enabled()) result.timeseries = std::move(series);
   result.metrics = std::move(metrics);
   result.spans = std::move(spans);

@@ -3,7 +3,6 @@
 // paper's figures report (recovery time, makespan, dollar cost).
 #pragma once
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -143,6 +142,11 @@ struct ScenarioConfig {
   obs::TimeSeriesConfig timeseries;
 };
 
+/// One run's outcome. Every count of the run (faults injected, detector
+/// verdicts, hedge races, traffic arrivals, lifecycle events) lives only
+/// in `metrics`, recorded once where the event happens. The fields here
+/// are the headline scalars, the run-end verdict inputs the registry
+/// cannot express, and the recorders.
 struct RunResult {
   bool completed = false;
   double makespan_s = 0.0;        // first submission to last job completion
@@ -156,9 +160,7 @@ struct RunResult {
   double sla_violations = 0.0;
   double sla_jobs = 0.0;
   std::uint64_t simulated_events = 0;
-  std::map<std::string, double> counters;
-  /// Full metric registry of the run (counters + gauges + latency
-  /// histograms). `counters` above is kept as a convenience view.
+  /// The run's metric registry: every counter, gauge and histogram.
   obs::MetricRegistry metrics;
   /// Span timeline; non-null only when ScenarioConfig::record_spans.
   std::shared_ptr<obs::SpanRecorder> spans;
@@ -168,54 +170,28 @@ struct RunResult {
   /// failure-to-recovery window, plus the SLO watchdog's verdicts.
   /// Derived from `events`; empty when event recording is off.
   obs::BreakdownReport breakdown;
-  /// Recorder overflow accounting (events/spans recorded vs. dropped).
-  std::uint64_t spans_recorded = 0;
-  std::uint64_t spans_dropped = 0;
-  std::uint64_t events_recorded = 0;
-  std::uint64_t events_dropped = 0;
-  /// Usage-ledger balance (chaos-oracle inputs): every closed interval
+  /// Usage-ledger balance (chaos-oracle input): every closed interval
   /// must be non-negative and the per-purpose split must sum to the
-  /// total. `usage_unbalanced` counts violations (0 in a healthy run).
-  std::uint64_t usage_records = 0;
+  /// total. Counts violations (0 in a healthy run).
   std::uint64_t usage_unbalanced = 0;
-  double usage_gb_seconds = 0.0;
-  /// Failure-detector outcomes (all zero when detection is disabled).
-  std::uint64_t detector_suspicions = 0;
-  std::uint64_t detector_false_suspicions = 0;
-  std::uint64_t detector_confirmed_dead = 0;
   /// Node failures the platform stashed but nobody ever confirmed (should
   /// be 0 at the end of any completed heartbeat-mode run).
   std::uint64_t undetected_failures = 0;
-  /// Injected-fault totals copied out of the FailureInjector.
-  std::uint64_t injected_node_kills = 0;
-  std::uint64_t injected_skipped_node_kills = 0;
-  std::uint64_t injected_gray_windows = 0;
-  std::uint64_t injected_heartbeats_dropped = 0;
-  std::uint64_t injected_heartbeats_delayed = 0;
-  std::uint64_t injected_store_drops = 0;
-  std::uint64_t injected_store_corruptions = 0;
-  /// Partition surface (fault surface v3). Heal-convergence oracle inputs:
-  /// every started window must heal, no block rules may outlive the run,
-  /// and the controller's metadata liveness view must agree with the
-  /// cluster ground truth once the last partition heals.
-  std::uint64_t injected_partitions = 0;
-  std::uint64_t injected_partition_heals = 0;
-  std::uint64_t injected_zone_outages = 0;
+  /// Heal-convergence oracle inputs: no reachability rule may outlive the
+  /// run, and the controller's metadata liveness view must agree with the
+  /// cluster ground truth once the last partition heals (trivially true
+  /// for non-Canary strategies).
   std::uint64_t partitions_active_end = 0;
-  std::uint64_t heartbeats_partition_dropped = 0;
+  bool metadata_views_consistent = true;
   /// Epoch-fence accounting from the KV store: commits rejected because
   /// the writer was fenced (zombie side) or could not reach the quorum.
   std::uint64_t kv_stale_epoch_rejects = 0;
   std::uint64_t kv_quorum_blocked_puts = 0;
-  /// True when every metadata worker row's liveness matches the cluster
-  /// at run end (trivially true for non-Canary strategies).
-  bool metadata_views_consistent = true;
 
-  /// Open-loop traffic accounting (all zero unless
-  /// ScenarioConfig::traffic.enabled). The two conservation identities —
-  ///   offered == admitted + shed + queued_end
-  ///   admitted == completed + failed + in_flight
-  /// — are pre-evaluated into `conservation_ok` for the chaos oracles.
+  /// Open-loop traffic accounting at run end (all zero unless
+  /// ScenarioConfig::traffic.enabled). Latency and queue-wait
+  /// distributions are the registry's traffic_latency/traffic_queue_wait
+  /// histograms.
   struct TrafficSummary {
     bool enabled = false;
     std::uint64_t offered = 0;
@@ -225,34 +201,22 @@ struct RunResult {
     std::uint64_t failed = 0;
     std::uint64_t in_flight = 0;   // admitted, unresolved at run end
     std::uint64_t queued_end = 0;  // still buffered at run end
-    std::uint64_t queue_peak = 0;
-    double latency_p50_ms = 0.0;  // arrival -> completion
-    double latency_p95_ms = 0.0;
-    double latency_p99_ms = 0.0;
-    double latency_p999_ms = 0.0;
-    double queue_wait_p99_ms = 0.0;  // arrival -> platform submission
-    std::uint64_t scale_ups = 0;
-    std::uint64_t scale_ins = 0;
-    std::uint64_t containers_launched = 0;
-    std::uint64_t containers_retired = 0;
-    bool conservation_ok = true;
+
+    /// The two conservation identities the chaos oracles check:
+    ///   offered == admitted + shed + queued_end
+    ///   admitted == completed + failed + in_flight
+    bool conserved() const {
+      return offered == admitted + shed + queued_end &&
+             admitted == completed + failed + in_flight;
+    }
   };
   TrafficSummary traffic;
 
-  /// Hedge-race accounting (populated only under StrategyKind::kHedge).
-  /// The exactly-once identity — fired == wins + cancelled + open, with
-  /// open == 0 on any completed run — is the chaos campaign's hedge
-  /// oracle.
-  struct HedgeSummary {
-    bool enabled = false;
-    std::uint64_t fired = 0;
-    std::uint64_t wins = 0;       // the clone finished first
-    std::uint64_t cancelled = 0;  // the clone lost (or failed) mid-race
-    std::uint64_t denied = 0;     // budget-denied hedge attempts
-    std::uint64_t skipped = 0;    // trigger fired while still pending
-    std::uint64_t open = 0;       // races unresolved at run end
-  };
-  HedgeSummary hedge;
+  /// Hedge races unresolved at run end, read straight from the hedge
+  /// handler (0 unless StrategyKind::kHedge). The exactly-once identity
+  /// hedges_fired == hedge_wins + hedges_cancelled + open, with open == 0
+  /// on any completed run, is the chaos campaign's hedge oracle.
+  std::uint64_t hedge_open_races = 0;
 
   /// Tail-latency attribution (empty unless ScenarioConfig::tail.enabled
   /// and event recording is on): per-histogram percentile targets with a
@@ -260,9 +224,6 @@ struct RunResult {
   obs::TailReport tail;
   /// Windowed rollups (empty unless ScenarioConfig::timeseries.enabled).
   obs::TimeSeries timeseries;
-  /// Per-EventKind drop counts for the causal log (recorder health);
-  /// empty when nothing was dropped.
-  std::map<std::string, std::uint64_t> events_dropped_by_kind;
 };
 
 class ScenarioRunner {

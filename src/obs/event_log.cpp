@@ -94,6 +94,17 @@ std::size_t EventLog::count_of(EventKind kind) const {
   return count;
 }
 
+RecorderHealth EventLog::health() const {
+  RecorderHealth health{events_.size(), dropped_, {}};
+  for (std::size_t k = 0; k < kEventKindCount; ++k) {
+    if (dropped_by_kind_[k] > 0) {
+      health.dropped_by_kind[std::string(
+          to_string_view(static_cast<EventKind>(k)))] = dropped_by_kind_[k];
+    }
+  }
+  return health;
+}
+
 void EventLog::set_flight_recorder(std::string path_prefix,
                                    std::size_t max_dumps, std::size_t tail) {
   flight_prefix_ = std::move(path_prefix);

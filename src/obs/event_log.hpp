@@ -140,6 +140,9 @@ class EventLog {
   /// True when the capacity cap discarded at least one event — consumers
   /// must treat counts derived from the log as lower bounds.
   bool truncated() const { return dropped_ > 0; }
+  /// Recorded/dropped totals plus the per-kind split, which lists only
+  /// kinds with drops (empty when nothing was dropped).
+  RecorderHealth health() const;
 
   std::size_t count_of(EventKind kind) const;
 

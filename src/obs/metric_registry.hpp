@@ -2,11 +2,14 @@
 //
 // One registry lives per simulation run and every module records into it
 // (the platform's lifecycle counters, Canary's checkpoint/replication
-// counters, the recovery baselines' bookkeeping). It supersedes the
-// private counter maps that used to live in sim::MetricsRecorder,
-// faas::UsageLedger summaries, and ad-hoc bench printouts: the experiment
-// harness snapshots the whole registry into RunResult, merges repetitions
-// exactly, and the report exporter serialises it into run_report.json.
+// counters, the injector's injected_* faults, the failure detector's
+// heartbeat and suspicion counts, hedge races, traffic arrivals and
+// latencies). It is the only store of a run's counts: components keep no
+// private tally of an event they record here, and RunResult carries the
+// registry itself rather than copies of its counters. The experiment
+// harness moves the registry into RunResult, merges repetitions exactly,
+// and the report exporter serialises it into run_report.json. A new count
+// belongs here, never in a new RunResult field.
 //
 // Names are ordered maps so every iteration (export, merge, diff) is
 // deterministic. The registry is single-writer per run — repetitions each

@@ -63,27 +63,6 @@ inline constexpr std::string_view kRunReportSchema = "canary.run_report/v2";
 /// string and stay byte-identical to pre-attribution builds.
 inline constexpr std::string_view kRunReportSchemaV3 = "canary.run_report/v3";
 
-/// Health of one capacity-capped recorder stream. A truncated stream means
-/// every count derived from it is a lower bound — the report says so
-/// explicitly instead of silently under-reporting.
-struct RecorderHealth {
-  std::uint64_t recorded = 0;
-  std::uint64_t dropped = 0;
-  /// Drops attributed to one event kind (event stream only; empty unless
-  /// the cap actually discarded something, so clean runs serialise
-  /// exactly as before the per-kind split existed).
-  std::map<std::string, std::uint64_t> dropped_by_kind;
-
-  bool truncated() const { return dropped > 0; }
-  void merge(const RecorderHealth& other) {
-    recorded += other.recorded;
-    dropped += other.dropped;
-    for (const auto& [kind, count] : other.dropped_by_kind) {
-      dropped_by_kind[kind] += count;
-    }
-  }
-};
-
 struct RunReport {
   std::string name;
   /// Experiment configuration, stringly-typed on purpose: params document

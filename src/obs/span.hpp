@@ -15,6 +15,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -23,6 +25,27 @@
 #include "common/time.hpp"
 
 namespace canary::obs {
+
+/// Health of one capacity-capped recorder stream. A truncated stream means
+/// every count derived from it is a lower bound — the report says so
+/// explicitly instead of silently under-reporting.
+struct RecorderHealth {
+  std::uint64_t recorded = 0;
+  std::uint64_t dropped = 0;
+  /// Drops attributed to one event kind (event stream only; empty unless
+  /// the cap actually discarded something, so clean runs serialise
+  /// exactly as before the per-kind split existed).
+  std::map<std::string, std::uint64_t> dropped_by_kind;
+
+  bool truncated() const { return dropped > 0; }
+  void merge(const RecorderHealth& other) {
+    recorded += other.recorded;
+    dropped += other.dropped;
+    for (const auto& [kind, count] : other.dropped_by_kind) {
+      dropped_by_kind[kind] += count;
+    }
+  }
+};
 
 enum class SpanKind {
   kLaunch,       // cold container creation until the runtime is up
@@ -103,6 +126,7 @@ class SpanRecorder {
   const std::vector<Span>& spans() const { return spans_; }
   std::size_t size() const { return spans_.size(); }
   std::size_t dropped() const { return dropped_; }
+  RecorderHealth health() const { return {spans_.size(), dropped_, {}}; }
   std::size_t open_count() const;
 
   std::size_t count_of(SpanKind kind) const;

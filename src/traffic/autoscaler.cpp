@@ -119,7 +119,6 @@ void WarmPoolAutoscaler::sweep_class(std::size_t idx) {
     }
     if (launched > 0) {
       cls.last_scale_up = now;
-      ++scale_ups_;
       m_scale_ups_.add();
       events_.push_back(ScaleEvent{now, idx, launched, true});
     }
@@ -147,7 +146,6 @@ void WarmPoolAutoscaler::sweep_class(std::size_t idx) {
     }
     if (drained > 0) {
       cls.last_scale_in = now;
-      ++scale_ins_;
       m_scale_ins_.add();
       events_.push_back(ScaleEvent{now, idx, drained, false});
     }

@@ -42,9 +42,6 @@ class WarmPoolAutoscaler final : public faas::PlatformObserver {
   /// Schedule the first sweep.
   void start();
 
-  std::uint64_t scale_ups() const { return scale_ups_; }
-  std::uint64_t scale_ins() const { return scale_ins_; }
-
   /// Every scaling decision, for the invariant tests.
   struct ScaleEvent {
     TimePoint at;
@@ -85,8 +82,6 @@ class WarmPoolAutoscaler final : public faas::PlatformObserver {
   std::vector<PoolClass> classes_;
   std::vector<ScaleEvent> events_;
   std::vector<ContainerId> retired_;
-  std::uint64_t scale_ups_ = 0;
-  std::uint64_t scale_ins_ = 0;
   bool stopped_ = false;
 
   obs::CounterHandle m_scale_ups_{platform_.metrics(), "autoscaler_scale_ups"};

@@ -299,7 +299,7 @@ INSTANTIATE_TEST_SUITE_P(
                        }},
         SurfaceVariant{"Hedging", add_hedging,
                        [](const harness::RunResult& r) {
-                         return r.hedge.fired > 0;
+                         return r.metrics.counter("hedges_fired") > 0.0;
                        }},
         SurfaceVariant{"Attribution", add_attribution,
                        [](const harness::RunResult& r) {
@@ -308,8 +308,10 @@ INSTANTIATE_TEST_SUITE_P(
                        }},
         SurfaceVariant{"Partitions", add_partitions,
                        [](const harness::RunResult& r) {
-                         return r.injected_partitions > 0 &&
-                                r.injected_zone_outages > 0;
+                         return r.metrics.counter("injected_partitions") >
+                                    0.0 &&
+                                r.metrics.counter("injected_zone_outages") >
+                                    0.0;
                        }}));
 
 TEST(DeterminismTest, PartitionSurfaceOffKeepsArtifactsByteIdentical) {
@@ -330,9 +332,9 @@ TEST(DeterminismTest, PartitionSurfaceOffKeepsArtifactsByteIdentical) {
   EXPECT_EQ(report.find("heartbeats_partition_dropped"), std::string::npos);
 
   const harness::RunResult run = harness::ScenarioRunner::run(config, jobs);
-  EXPECT_EQ(run.injected_partitions, 0u);
-  EXPECT_EQ(run.injected_zone_outages, 0u);
-  EXPECT_EQ(run.heartbeats_partition_dropped, 0u);
+  EXPECT_EQ(run.metrics.counter("injected_partitions"), 0.0);
+  EXPECT_EQ(run.metrics.counter("injected_zone_outages"), 0.0);
+  EXPECT_EQ(run.metrics.counter("heartbeats_partition_dropped"), 0.0);
   EXPECT_EQ(run.kv_stale_epoch_rejects, 0u);
   EXPECT_EQ(run.kv_quorum_blocked_puts, 0u);
   const std::string trace = render_trace(run);

@@ -93,8 +93,8 @@ TEST(ProactiveEndToEndTest, SuspectIsMarkedBeforeNodeDies) {
   const auto result =
       harness::ScenarioRunner::run(correlated_scenario(true), jobs);
   EXPECT_TRUE(result.completed);
-  EXPECT_GE(result.counters.at("nodes_marked_suspect"), 1.0);
-  EXPECT_GE(result.counters.at("node_failures"), 1.0);
+  EXPECT_GE(result.metrics.counter("nodes_marked_suspect"), 1.0);
+  EXPECT_GE(result.metrics.counter("node_failures"), 1.0);
 }
 
 TEST(ProactiveEndToEndTest, MitigationDoesNotHurtCompletion) {

@@ -72,7 +72,7 @@ TEST(FailureDetectorScenarioTest, HeartbeatModeRecoversNodeFailure) {
   config.node_failure_offsets = {Duration::sec(3.0)};
   const auto result = ScenarioRunner::run(config, small_web_jobs());
   EXPECT_TRUE(result.completed);
-  EXPECT_GE(result.detector_confirmed_dead, 1u);
+  EXPECT_GE(result.metrics.counter("workers_confirmed_dead"), 1.0);
   EXPECT_EQ(result.undetected_failures, 0u);
   expect_exactly_once(result);
   // The confirmation must land within the analytic bound:
@@ -125,9 +125,9 @@ TEST(FailureDetectorScenarioTest, FalseSuspicionCancelsCleanly) {
   config.heartbeat_faults.push_back(fault);
   const auto result = ScenarioRunner::run(config, small_web_jobs());
   EXPECT_TRUE(result.completed);
-  EXPECT_GE(result.detector_false_suspicions, 1u);
-  EXPECT_EQ(result.detector_confirmed_dead, 0u);
-  EXPECT_GE(result.injected_heartbeats_delayed, 1u);
+  EXPECT_GE(result.metrics.counter("false_suspicions"), 1.0);
+  EXPECT_EQ(result.metrics.counter("workers_confirmed_dead"), 0.0);
+  EXPECT_GE(result.metrics.counter("heartbeats_delayed"), 1.0);
   expect_exactly_once(result);
 }
 
@@ -151,13 +151,13 @@ TEST(FailureDetectorScenarioTest, AsymmetricPartitionFalseSuspicionHeals) {
   config.partitions.push_back(window);
   const auto result = ScenarioRunner::run(config, small_web_jobs());
   EXPECT_TRUE(result.completed);
-  EXPECT_GE(result.detector_false_suspicions, 1u);
-  EXPECT_EQ(result.detector_confirmed_dead, 0u);
-  EXPECT_GT(result.heartbeats_partition_dropped, 0u);
-  EXPECT_EQ(result.injected_partitions, 1u);
-  EXPECT_EQ(result.injected_partition_heals, 1u);
+  EXPECT_GE(result.metrics.counter("false_suspicions"), 1.0);
+  EXPECT_EQ(result.metrics.counter("workers_confirmed_dead"), 0.0);
+  EXPECT_GT(result.metrics.counter("heartbeats_partition_dropped"), 0.0);
+  EXPECT_EQ(result.metrics.counter("injected_partitions"), 1.0);
+  EXPECT_EQ(result.metrics.counter("injected_partition_heals"), 1.0);
   EXPECT_EQ(result.partitions_active_end, 0u);
-  EXPECT_EQ(result.counters.count("nodes_fenced_logical"), 0u);
+  EXPECT_EQ(result.metrics.counters().count("nodes_fenced_logical"), 0u);
   EXPECT_TRUE(result.metadata_views_consistent);
   expect_exactly_once(result);
 }
@@ -182,9 +182,9 @@ TEST(FailureDetectorScenarioTest, AsymmetricPartitionConfirmsWithinBound) {
   config.partitions.push_back(window);
   const auto result = ScenarioRunner::run(config, small_web_jobs());
   EXPECT_TRUE(result.completed);
-  EXPECT_GE(result.detector_confirmed_dead, 1u);
-  const auto fenced = result.counters.find("nodes_fenced_logical");
-  ASSERT_NE(fenced, result.counters.end());
+  EXPECT_GE(result.metrics.counter("workers_confirmed_dead"), 1.0);
+  const auto fenced = result.metrics.counters().find("nodes_fenced_logical");
+  ASSERT_NE(fenced, result.metrics.counters().end());
   EXPECT_GE(fenced->second, 1.0);
   // Fence latency from window open, against the same analytic bound as
   // a real node death: interval * (1 + timeout + confirm) + 2 sweeps.
@@ -230,8 +230,8 @@ TEST(FailureDetectorScenarioTest, WatchdogReroutesStalledRecovery) {
   config.gray_failures.push_back(gray);
   const auto result = ScenarioRunner::run(config, small_web_jobs());
   EXPECT_TRUE(result.completed);
-  const auto stalls = result.counters.find("recovery_stalls");
-  ASSERT_NE(stalls, result.counters.end());
+  const auto stalls = result.metrics.counters().find("recovery_stalls");
+  ASSERT_NE(stalls, result.metrics.counters().end());
   EXPECT_GE(stalls->second, 1.0);
   expect_exactly_once(result);
 }
@@ -248,11 +248,11 @@ TEST(FailureDetectorScenarioTest, DisabledDetectorLeavesRunUntouched) {
   config.node_failure_offsets = {Duration::sec(3.0)};
   const auto result = ScenarioRunner::run(config, small_web_jobs());
   EXPECT_TRUE(result.completed);
-  EXPECT_EQ(result.detector_suspicions, 0u);
-  EXPECT_EQ(result.detector_confirmed_dead, 0u);
+  EXPECT_EQ(result.metrics.counter("worker_suspicions"), 0.0);
+  EXPECT_EQ(result.metrics.counter("workers_confirmed_dead"), 0.0);
   EXPECT_EQ(result.undetected_failures, 0u);
-  EXPECT_EQ(result.counters.count("recovery_stalls"), 0u);
-  EXPECT_EQ(result.counters.count("nodes_fenced"), 0u);
+  EXPECT_EQ(result.metrics.counters().count("recovery_stalls"), 0u);
+  EXPECT_EQ(result.metrics.counters().count("nodes_fenced"), 0u);
 }
 
 TEST(ChaosSweepTest, MiniSweepHoldsAllInvariants) {

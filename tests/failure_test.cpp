@@ -175,7 +175,7 @@ TEST(FailureInjectorTest, NodeFailureTakesDownNodeAndKvCopies) {
   injector.schedule_node_failure(sim, platform, &store,
                                  TimePoint::origin() + Duration::sec(1.0));
   sim.run();
-  EXPECT_EQ(injector.node_kills(), 1u);
+  EXPECT_EQ(platform.metrics().counter("injected_node_kills"), 1.0);
   EXPECT_EQ(cluster.alive_count(), 3u);
   EXPECT_TRUE(store.contains("k"));  // replicated on surviving nodes
 }
@@ -242,8 +242,8 @@ TEST(FailureInjectorTest, NodeFailureSkipsAlreadyDeadVictim) {
                                  TimePoint::origin() + Duration::sec(2.0),
                                  victim);
   sim.run();
-  EXPECT_EQ(injector.node_kills(), 1u);
-  EXPECT_EQ(injector.skipped_node_kills(), 1u);
+  EXPECT_EQ(platform.metrics().counter("injected_node_kills"), 1.0);
+  EXPECT_EQ(platform.metrics().counter("injected_skipped_node_kills"), 1.0);
   EXPECT_EQ(cluster.alive_count(), 3u);
   // Partitioned with zero backups: the victim's single-copy entries are
   // lost exactly once; the skipped re-kill must not recount them.
@@ -262,7 +262,7 @@ TEST(FailureInjectorTest, NodeFailureSparesLastNode) {
   injector.schedule_node_failure(sim, platform, nullptr,
                                  TimePoint::origin() + Duration::sec(1.0));
   sim.run();
-  EXPECT_EQ(injector.node_kills(), 0u);
+  EXPECT_EQ(platform.metrics().counter("injected_node_kills"), 0.0);
   EXPECT_EQ(cluster.alive_count(), 1u);
 }
 

@@ -44,14 +44,14 @@ TEST(FullStackTest, AllFeaturesTogetherComplete) {
       harness::ScenarioRunner::run(everything_on(0.25), mixed_portfolio());
   ASSERT_TRUE(result.completed);
   // All 75 functions done exactly once.
-  EXPECT_EQ(result.counters.at("functions_completed"), 75.0);
+  EXPECT_EQ(result.metrics.counter("functions_completed"), 75.0);
   // Failures occurred and every one recovered.
   EXPECT_GT(result.failures, 0.0);
-  EXPECT_EQ(result.counters.at("failures"), result.counters.at("recoveries"));
+  EXPECT_EQ(result.metrics.counter("failures"), result.metrics.counter("recoveries"));
   // The feature set actually engaged.
-  EXPECT_GE(result.counters.at("node_failures"), 1.0);
-  EXPECT_GT(result.counters.at("checkpoints_written"), 0.0);
-  EXPECT_GT(result.counters.at("replicas_launched"), 0.0);
+  EXPECT_GE(result.metrics.counter("node_failures"), 1.0);
+  EXPECT_GT(result.metrics.counter("checkpoints_written"), 0.0);
+  EXPECT_GT(result.metrics.counter("replicas_launched"), 0.0);
   // SLA accounting saw the deadline-carrying job.
   EXPECT_EQ(result.sla_jobs, 1.0);
 }
@@ -86,7 +86,7 @@ TEST(FullStackTest, SurvivesSweepOfErrorRates) {
     const auto result =
         harness::ScenarioRunner::run(everything_on(rate), mixed_portfolio());
     ASSERT_TRUE(result.completed) << "error rate " << rate;
-    EXPECT_EQ(result.counters.at("functions_completed"), 75.0)
+    EXPECT_EQ(result.metrics.counter("functions_completed"), 75.0)
         << "error rate " << rate;
   }
 }

@@ -115,7 +115,7 @@ TEST(ScenarioRunnerTest, NodeFailuresHandled) {
   config.node_failure_offsets = {Duration::sec(3.0), Duration::sec(6.0)};
   const auto result = ScenarioRunner::run(config, small_web_jobs(30));
   EXPECT_TRUE(result.completed);
-  EXPECT_GE(result.counters.at("node_failures"), 1.0);
+  EXPECT_GE(result.metrics.counter("node_failures"), 1.0);
 }
 
 TEST(ScenarioRunnerTest, RrAndAsCostMoreThanCanary) {

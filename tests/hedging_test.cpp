@@ -299,9 +299,9 @@ TEST(HedgeChaosTest, SameSeedSameOutcome) {
   EXPECT_EQ(a.completed, b.completed);
   EXPECT_EQ(a.makespan_s, b.makespan_s);
   EXPECT_EQ(a.failures, b.failures);
-  EXPECT_EQ(a.hedges_fired, b.hedges_fired);
-  EXPECT_EQ(a.hedge_wins, b.hedge_wins);
-  EXPECT_EQ(a.hedges_cancelled, b.hedges_cancelled);
+  EXPECT_EQ(a.counter("hedges_fired"), b.counter("hedges_fired"));
+  EXPECT_EQ(a.counter("hedge_wins"), b.counter("hedge_wins"));
+  EXPECT_EQ(a.counter("hedges_cancelled"), b.counter("hedges_cancelled"));
   EXPECT_EQ(a.violations, b.violations);
 }
 
@@ -315,10 +315,11 @@ TEST(HedgeChaosTest, SixtyFourSeedSweepPassesAllOracles) {
     const auto outcome = harness::run_hedge_chaos_scenario(seed);
     EXPECT_TRUE(outcome.violations.empty())
         << "seed " << seed << ": " << outcome.violations.front();
-    EXPECT_EQ(outcome.hedges_fired,
-              outcome.hedge_wins + outcome.hedges_cancelled)
+    EXPECT_EQ(outcome.counter("hedges_fired"),
+              outcome.counter("hedge_wins") +
+                  outcome.counter("hedges_cancelled"))
         << "seed " << seed << " leaked an open race";
-    fired += outcome.hedges_fired;
+    fired += static_cast<std::uint64_t>(outcome.counter("hedges_fired"));
   }
   // The family is not vacuous: the sweep actually raced clones.
   EXPECT_GT(fired, 0u);

@@ -19,6 +19,7 @@
 #include "common/logging.hpp"
 #include "faas/platform.hpp"
 #include "faas/retry.hpp"
+#include "harness/experiment.hpp"
 #include "harness/scenario.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/critical_path.hpp"
@@ -348,6 +349,42 @@ TEST(EventLogTest, OverflowIsCountedAndLeavesContextsIntact) {
   EXPECT_TRUE(log.truncated());
 }
 
+TEST(EventLogTest, HealthMatchesPerKindDropCounts) {
+  obs::EventLog log(2);
+  log.append_raw(log.new_trace(), obs::kNoEvent, obs::EventKind::kSubmit, "a",
+                 TimePoint::origin());
+  const obs::RecorderHealth clean = log.health();
+  EXPECT_EQ(clean.recorded, 1u);
+  EXPECT_EQ(clean.dropped, 0u);
+  EXPECT_TRUE(clean.dropped_by_kind.empty());
+
+  // Fill the log, then overflow it with a mix of kinds.
+  for (const obs::EventKind kind :
+       {obs::EventKind::kLaunch, obs::EventKind::kFailure,
+        obs::EventKind::kFailure, obs::EventKind::kExec,
+        obs::EventKind::kAnnotation, obs::EventKind::kFailure}) {
+    log.append_raw(log.new_trace(), obs::kNoEvent, kind, "x",
+                   TimePoint::origin());
+  }
+  const obs::RecorderHealth health = log.health();
+  EXPECT_EQ(health.recorded, log.size());
+  EXPECT_EQ(health.dropped, log.dropped());
+  EXPECT_EQ(health.dropped, 5u);
+  EXPECT_EQ(health.dropped_by_kind.size(), 3u);
+  for (std::size_t k = 0; k < obs::kEventKindCount; ++k) {
+    const auto kind = static_cast<obs::EventKind>(k);
+    const auto it =
+        health.dropped_by_kind.find(std::string(obs::to_string_view(kind)));
+    if (log.dropped_of(kind) == 0) {
+      EXPECT_EQ(it, health.dropped_by_kind.end()) << obs::to_string_view(kind);
+    } else {
+      ASSERT_NE(it, health.dropped_by_kind.end()) << obs::to_string_view(kind);
+      EXPECT_EQ(it->second, log.dropped_of(kind));
+    }
+  }
+  EXPECT_EQ(log.dropped_of(obs::EventKind::kFailure), 3u);
+}
+
 TEST(EventLogTest, FlightRecorderDumpsOnNodeFailure) {
   const std::string prefix = "obs_trace_test_flight";
   obs::EventLog log;
@@ -487,8 +524,11 @@ TEST(TraceScenarioTest, BreakdownComponentsPartitionEveryRecoveryWindow) {
               1e-3 * static_cast<double>(result.breakdown.recovery_count));
 
   // Recorder health plumbing: everything recorded, nothing dropped.
-  EXPECT_EQ(result.events_recorded, result.events->size());
-  EXPECT_EQ(result.events_dropped, 0u);
+  harness::Aggregate agg;
+  agg.add(result);
+  EXPECT_EQ(agg.event_health.recorded, result.events->size());
+  EXPECT_EQ(agg.event_health.dropped, 0u);
+  EXPECT_TRUE(agg.event_health.dropped_by_kind.empty());
   EXPECT_FALSE(result.events->truncated());
 }
 

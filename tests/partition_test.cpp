@@ -5,15 +5,20 @@
 // double-death guard, and a mini sweep of the partition chaos family.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+#include <string>
 #include <unordered_map>
 
 #include "cluster/cluster.hpp"
 #include "cluster/network.hpp"
 #include "harness/chaos.hpp"
 #include "harness/scenario.hpp"
+#include "harness/scenario_internal.hpp"
 #include "kvstore/kvstore.hpp"
 #include "obs/event_log.hpp"
 #include "recovery/strategies.hpp"
+#include "sim/simulator.hpp"
 
 namespace canary::cluster {
 namespace {
@@ -135,11 +140,6 @@ TEST(EpochFencingTest, QuorumPredicateBlocksMidPartitionWrites) {
 namespace canary::harness {
 namespace {
 
-double counter(const RunResult& result, const std::string& name) {
-  const auto it = result.counters.find(name);
-  return it == result.counters.end() ? 0.0 : it->second;
-}
-
 /// Every function that completed did so exactly once — the split-brain
 /// acceptance test at the causal-log level.
 void expect_exactly_once(const RunResult& result) {
@@ -216,17 +216,17 @@ TEST(PartitionScenarioTest, ZoneCutFencesZombiesWithoutSplitBrain) {
 
   const auto result = ScenarioRunner::run(config, partition_jobs());
   EXPECT_TRUE(result.completed);
-  EXPECT_EQ(result.injected_partitions, 1u);
-  EXPECT_EQ(result.injected_partition_heals, 1u);
+  EXPECT_EQ(result.metrics.counter("injected_partitions"), 1.0);
+  EXPECT_EQ(result.metrics.counter("injected_partition_heals"), 1.0);
   EXPECT_EQ(result.partitions_active_end, 0u);
-  EXPECT_GT(result.heartbeats_partition_dropped, 0u);
-  EXPECT_GE(result.detector_confirmed_dead, 1u);
-  EXPECT_GE(counter(result, "nodes_fenced_logical"), 1.0);
+  EXPECT_GT(result.metrics.counter("heartbeats_partition_dropped"), 0.0);
+  EXPECT_GE(result.metrics.counter("workers_confirmed_dead"), 1.0);
+  EXPECT_GE(result.metrics.counter("nodes_fenced_logical"), 1.0);
 
-  const double attempts = counter(result, "zombie_commit_attempts");
-  const double rejected = counter(result, "zombie_commits_rejected");
+  const double attempts = result.metrics.counter("zombie_commit_attempts");
+  const double rejected = result.metrics.counter("zombie_commits_rejected");
   EXPECT_GT(attempts, 0.0);
-  EXPECT_EQ(counter(result, "zombie_commits_committed"), 0.0);
+  EXPECT_EQ(result.metrics.counter("zombie_commits_committed"), 0.0);
   EXPECT_EQ(attempts, rejected);
   EXPECT_GT(result.kv_stale_epoch_rejects, 0u);
 
@@ -248,9 +248,9 @@ TEST(PartitionScenarioTest, ZoneOutageIsOneCausalEventAndSkipsDeadNodes) {
 
   const auto result = ScenarioRunner::run(config, partition_jobs());
   EXPECT_TRUE(result.completed);
-  EXPECT_EQ(result.injected_zone_outages, 2u);
-  EXPECT_EQ(result.injected_node_kills, 4u);
-  EXPECT_EQ(result.injected_skipped_node_kills, 4u);
+  EXPECT_EQ(result.metrics.counter("injected_zone_outages"), 2.0);
+  EXPECT_EQ(result.metrics.counter("injected_node_kills"), 4.0);
+  EXPECT_EQ(result.metrics.counter("injected_skipped_node_kills"), 4.0);
 
   ASSERT_NE(result.events, nullptr);
   std::size_t outage_roots = 0;
@@ -264,6 +264,87 @@ TEST(PartitionScenarioTest, ZoneOutageIsOneCausalEventAndSkipsDeadNodes) {
   expect_exactly_once(result);
 }
 
+TEST(PartitionScenarioTest, EveryInjectedFaultKindIsCountedOnce) {
+  // One run fires every injector fault kind, and each registry counter
+  // must equal a count known by construction and, where the injector
+  // annotates the causal log, the number of annotations.
+  auto config = partition_config(12);  // zones {0, 1, 2}, four nodes each
+  const NodeId quiet{5};               // zone 1
+  // Beats go out every 250 ms from t=0. A 50 ms delay window over
+  // [0.2 s, 0.7 s) catches the beats sent at 0.25 s and 0.5 s from all 12
+  // live workers; a certain-drop window on one worker catches its 1.0 s
+  // beat.
+  config.heartbeat_faults.push_back({Duration::msec(200), Duration::msec(500),
+                                     Duration::msec(50), 0.0, std::nullopt});
+  config.heartbeat_faults.push_back({Duration::msec(900), Duration::msec(200),
+                                     Duration::zero(), 1.0, quiet});
+  config.gray_failures.push_back({Duration::msec(500), Duration::sec(1.0),
+                                  2.0, std::nullopt});
+  config.gray_failures.push_back({Duration::msec(800), Duration::sec(1.0),
+                                  2.0, std::nullopt});
+  config.store_faults.push_back({Duration::sec(3.0), 2, 1});
+  config.zone_outages.push_back({Duration::sec(4.0), 0});
+  config.zone_outages.push_back({Duration::sec(4.5), 0});  // all skipped
+  config.node_failure_offsets.push_back(Duration::sec(5.0));
+  ScenarioConfig::PartitionFault cut;
+  cut.at = Duration::sec(6.0);
+  cut.duration = Duration::sec(1.0);
+  cut.zone = 2;
+  config.partitions.push_back(cut);
+  ScenarioConfig::PartitionFault one_way;
+  one_way.at = Duration::sec(8.0);
+  one_way.duration = Duration::msec(500);
+  one_way.from = {quiet};
+  for (std::uint64_t n = 1; n <= 12; ++n) {
+    if (NodeId{n} != quiet) one_way.to.push_back(NodeId{n});
+  }
+  config.partitions.push_back(one_way);
+
+  sim::Simulator simulator;
+  const std::vector<faas::JobSpec> jobs = partition_jobs();
+  internal::ScenarioInstance instance(simulator, config, jobs,
+                                      /*install_log_hooks=*/false);
+  // Before the first node dies, every lost KV entry is a store-fault drop.
+  simulator.run_until(TimePoint::origin() + Duration::msec(3900));
+  const std::uint64_t store_drops = instance.store.stats().entries_lost;
+  simulator.run();
+  const std::uint64_t store_corruptions =
+      instance.store.stats().entries_corrupted;
+  const RunResult result = instance.collect();
+  ASSERT_TRUE(result.completed);
+
+  std::map<std::string, double> annotations;
+  for (const obs::Event& event : result.events->events()) {
+    if (event.kind == obs::EventKind::kAnnotation) annotations[event.name] += 1;
+  }
+  const obs::MetricRegistry& m = result.metrics;
+  EXPECT_EQ(m.counter("heartbeats_delayed"), 24.0);
+  EXPECT_EQ(m.counter("heartbeats_dropped"), 1.0);
+  EXPECT_EQ(m.counter("injected_gray_windows"), 2.0);
+  EXPECT_EQ(m.counter("injected_gray_windows"),
+            annotations["injected_gray_start"]);
+  EXPECT_EQ(m.counter("injected_store_drops"), 2.0);
+  EXPECT_EQ(m.counter("injected_store_drops"),
+            static_cast<double>(store_drops));
+  EXPECT_EQ(m.counter("injected_store_corruptions"), 1.0);
+  EXPECT_EQ(m.counter("injected_store_corruptions"),
+            static_cast<double>(store_corruptions));
+  EXPECT_EQ(m.counter("injected_zone_outages"), 2.0);
+  EXPECT_EQ(m.counter("injected_zone_outages"),
+            annotations["injected_zone_outage"]);
+  EXPECT_EQ(m.counter("injected_node_kills"), 5.0);  // zone 0 + one more
+  EXPECT_EQ(m.counter("injected_node_kills"),
+            annotations["injected_zone_outage_kill"] +
+                annotations["injected_node_failure"]);
+  EXPECT_EQ(m.counter("injected_skipped_node_kills"), 4.0);
+  EXPECT_EQ(m.counter("injected_partitions"), 2.0);
+  EXPECT_EQ(m.counter("injected_partitions"), annotations["partition_start"]);
+  EXPECT_EQ(m.counter("injected_partition_heals"), 2.0);
+  EXPECT_EQ(m.counter("injected_partition_heals"),
+            annotations["partition_heal"]);
+  expect_exactly_once(result);
+}
+
 TEST(PartitionScenarioTest, SurfaceOffLeavesCountersUntouched) {
   // The v3 surface is opt-in: with no partition faults configured none
   // of the new counters move (the byte-identity gate in CI depends on
@@ -271,14 +352,14 @@ TEST(PartitionScenarioTest, SurfaceOffLeavesCountersUntouched) {
   auto config = partition_config(8);
   const auto result = ScenarioRunner::run(config, partition_jobs(1));
   EXPECT_TRUE(result.completed);
-  EXPECT_EQ(result.injected_partitions, 0u);
-  EXPECT_EQ(result.injected_partition_heals, 0u);
-  EXPECT_EQ(result.injected_zone_outages, 0u);
-  EXPECT_EQ(result.heartbeats_partition_dropped, 0u);
+  EXPECT_EQ(result.metrics.counter("injected_partitions"), 0.0);
+  EXPECT_EQ(result.metrics.counter("injected_partition_heals"), 0.0);
+  EXPECT_EQ(result.metrics.counter("injected_zone_outages"), 0.0);
+  EXPECT_EQ(result.metrics.counter("heartbeats_partition_dropped"), 0.0);
   EXPECT_EQ(result.kv_stale_epoch_rejects, 0u);
   EXPECT_EQ(result.kv_quorum_blocked_puts, 0u);
-  EXPECT_EQ(result.counters.count("zombie_commit_attempts"), 0u);
-  EXPECT_EQ(result.counters.count("nodes_fenced_logical"), 0u);
+  EXPECT_EQ(result.metrics.counters().count("zombie_commit_attempts"), 0u);
+  EXPECT_EQ(result.metrics.counters().count("nodes_fenced_logical"), 0u);
   EXPECT_TRUE(result.metadata_views_consistent);
 }
 
@@ -292,9 +373,11 @@ TEST(PartitionChaosSweepTest, MiniSweepHoldsAllInvariants) {
     EXPECT_TRUE(outcome.violations.empty())
         << "seed " << seed << ": " << outcome.violations.front();
     EXPECT_TRUE(outcome.completed) << "seed " << seed;
-    EXPECT_EQ(outcome.partitions_started, outcome.partitions_healed)
+    EXPECT_EQ(outcome.counter("injected_partitions"),
+              outcome.counter("injected_partition_heals"))
         << "seed " << seed;
-    partitions_started += outcome.partitions_started;
+    partitions_started +=
+        static_cast<std::uint64_t>(outcome.counter("injected_partitions"));
   }
   // The family always injects at least one window per seed.
   EXPECT_GE(partitions_started, 4u);

@@ -36,16 +36,12 @@ TEST_P(InvariantSweep, AccountingIdentitiesHold) {
     ASSERT_TRUE(result.completed);
 
     // Every function completed exactly once.
-    EXPECT_EQ(result.counters.at("functions_completed"), 25.0);
+    EXPECT_EQ(result.metrics.counter("functions_completed"), 25.0);
 
     // Every failure's recovery interval eventually resolved (a completed
     // function cannot owe recovery).
-    const auto failures = result.counters.find("failures");
-    const auto recoveries = result.counters.find("recoveries");
-    const double failed = failures == result.counters.end() ? 0.0
-                                                            : failures->second;
-    const double recovered =
-        recoveries == result.counters.end() ? 0.0 : recoveries->second;
+    const double failed = result.metrics.counter("failures");
+    const double recovered = result.metrics.counter("recoveries");
     EXPECT_EQ(failed, recovered);
     EXPECT_EQ(result.failures, failed);
 

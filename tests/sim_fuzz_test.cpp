@@ -400,11 +400,10 @@ TEST(SimFuzzTest, CoalescedStateRunsMatchPerStateReferenceAcross64Seeds) {
     EXPECT_EQ(got.failures, ref.failures);
     for (const char* counter :
          {"functions_completed", "recoveries", "timeouts", "nodes_fenced",
-          "nodes_fenced_logical"}) {
+          "nodes_fenced_logical", "injected_gray_windows"}) {
       EXPECT_EQ(got.metrics.counter(counter), ref.metrics.counter(counter))
           << counter;
     }
-    EXPECT_EQ(got.injected_gray_windows, ref.injected_gray_windows);
     EXPECT_EQ(coalesced.completion_usec, reference.completion_usec);
 
     // Every generated workload has multi-state functions, so the

@@ -13,6 +13,7 @@
 #include "faas/retry.hpp"
 #include "harness/chaos.hpp"
 #include "harness/scenario.hpp"
+#include "harness/scenario_internal.hpp"
 #include "obs/metric_registry.hpp"
 #include "sim/simulator.hpp"
 #include "traffic/admission.hpp"
@@ -225,11 +226,11 @@ TEST(TrafficScenarioTest, ConservationHoldsUnderload) {
   ASSERT_TRUE(t.enabled);
   EXPECT_GT(t.offered, 0u);
   EXPECT_GT(t.completed, 0u);
-  EXPECT_TRUE(t.conservation_ok);
+  EXPECT_TRUE(t.conserved());
   EXPECT_EQ(t.in_flight, 0u);
   EXPECT_EQ(t.queued_end, 0u);
   EXPECT_EQ(t.offered, t.admitted + t.shed);
-  EXPECT_GT(t.latency_p50_ms, 0.0);
+  EXPECT_GT(result.metrics.histogram("traffic_latency").p50(), 0.0);
 }
 
 TEST(TrafficScenarioTest, OverloadShedsButConservationHolds) {
@@ -239,12 +240,12 @@ TEST(TrafficScenarioTest, OverloadShedsButConservationHolds) {
       harness::ScenarioRunner::run(traffic_scenario(40.0, 1), {});
   const auto& t = result.traffic;
   EXPECT_GT(t.shed, 0u);
-  EXPECT_TRUE(t.conservation_ok);
+  EXPECT_TRUE(t.conserved());
   EXPECT_EQ(t.offered, t.admitted + t.shed);
   EXPECT_EQ(t.admitted, t.completed + t.failed);
   // Shed arrivals surface as terminal invocations, never silently vanish.
-  auto it = result.counters.find("functions_shed");
-  ASSERT_NE(it, result.counters.end());
+  auto it = result.metrics.counters().find("functions_shed");
+  ASSERT_NE(it, result.metrics.counters().end());
   EXPECT_EQ(static_cast<std::uint64_t>(it->second), t.shed);
 }
 
@@ -256,9 +257,41 @@ TEST(TrafficScenarioTest, DeterministicForSameSeed) {
   EXPECT_EQ(a.traffic.admitted, b.traffic.admitted);
   EXPECT_EQ(a.traffic.shed, b.traffic.shed);
   EXPECT_EQ(a.traffic.completed, b.traffic.completed);
-  EXPECT_EQ(a.traffic.scale_ups, b.traffic.scale_ups);
-  EXPECT_EQ(a.traffic.latency_p99_ms, b.traffic.latency_p99_ms);
+  EXPECT_EQ(a.metrics.counter("autoscaler_scale_ups"),
+            b.metrics.counter("autoscaler_scale_ups"));
+  EXPECT_EQ(a.metrics.histogram("traffic_latency").p99(),
+            b.metrics.histogram("traffic_latency").p99());
   EXPECT_EQ(a.simulated_events, b.simulated_events);
+}
+
+TEST(TrafficScenarioTest, RegistryPercentilesMatchMergedStreamStats) {
+  // The run's registry histograms are the only home of traffic latency
+  // and queue wait; they must give exactly the percentiles of the
+  // generator's per-stream histograms merged together.
+  harness::ScenarioConfig config = traffic_scenario(30.0, 2);
+  StreamConfig second = config.traffic.streams.front();
+  second.name = "batch";
+  second.arrival.rate_hz = 12.0;
+  second.fn.states.push_back({Duration::msec(300), {}});
+  config.traffic.streams.push_back(second);
+  sim::Simulator simulator;
+  harness::internal::ScenarioInstance instance(simulator, config, {},
+                                               /*install_log_hooks=*/false);
+  simulator.run();
+  const StreamStats totals = instance.traffic_gen->totals();
+  ASSERT_GT(instance.traffic_gen->stream_stats(0).latency.count(), 0u);
+  ASSERT_GT(instance.traffic_gen->stream_stats(1).latency.count(), 0u);
+  ASSERT_GT(totals.queue_wait.p99(), 0.0);  // the backlog did queue
+
+  const obs::Histogram& latency =
+      instance.metrics.histogram("traffic_latency");
+  const obs::Histogram& queue_wait =
+      instance.metrics.histogram("traffic_queue_wait");
+  EXPECT_EQ(latency.count(), totals.latency.count());
+  EXPECT_EQ(latency.p50(), totals.latency.p50());
+  EXPECT_EQ(latency.p99(), totals.latency.p99());
+  EXPECT_EQ(latency.percentile(99.9), totals.latency.percentile(99.9));
+  EXPECT_EQ(queue_wait.p99(), totals.queue_wait.p99());
 }
 
 TEST(TrafficScenarioTest, DisabledTrafficLeavesSummaryEmpty) {
@@ -274,7 +307,8 @@ TEST(TrafficScenarioTest, DisabledTrafficLeavesSummaryEmpty) {
   const auto result = harness::ScenarioRunner::run(config, {job});
   EXPECT_FALSE(result.traffic.enabled);
   EXPECT_EQ(result.traffic.offered, 0u);
-  EXPECT_EQ(result.counters.find("traffic_offered"), result.counters.end());
+  EXPECT_EQ(result.metrics.counters().find("traffic_offered"),
+            result.metrics.counters().end());
 }
 
 // ---- autoscaler invariants ----------------------------------------------
@@ -349,7 +383,7 @@ class AutoscalerTest : public ::testing::Test {
 
 TEST_F(AutoscalerTest, ScalesUpUnderBurstAndDrainsToZero) {
   run(bursty_config());
-  EXPECT_GT(autoscaler_->scale_ups(), 0u);
+  EXPECT_GT(metrics_.counter("autoscaler_scale_ups"), 0.0);
   // Every container the autoscaler launched was retired or adopted by the
   // end of the drain; destroy_warm_container CHECK-fails on a busy or
   // replica container, so reaching this line proves the safety invariant.
@@ -393,9 +427,10 @@ TEST(TrafficChaosTest, BurstPlusNodeFailurePassesAllOracles) {
         harness::run_traffic_chaos_scenario(seed);
     EXPECT_TRUE(outcome.violations.empty())
         << "seed " << seed << ": " << outcome.violations.front();
-    EXPECT_GT(outcome.traffic_offered, 0u) << "seed " << seed;
-    EXPECT_EQ(outcome.traffic_offered,
-              outcome.traffic_admitted + outcome.traffic_shed)
+    EXPECT_GT(outcome.counter("traffic_offered"), 0.0) << "seed " << seed;
+    EXPECT_EQ(outcome.counter("traffic_offered"),
+              outcome.counter("traffic_admitted") +
+                  outcome.counter("traffic_shed"))
         << "seed " << seed;
   }
 }
