@@ -3,15 +3,19 @@
 // Unlike the figure benches (which reproduce the paper's plots) this
 // binary answers an engineering question: how fast is the event engine
 // and the platform above it, and does the hot path allocate? It runs
-// three phases and emits a machine-readable canary.bench/v1 report that
-// CI diffs against a committed baseline (>20% events/sec regression
-// fails the perf-smoke job):
+// four phases and emits a machine-readable canary.bench/v1 report that
+// CI diffs against a committed baseline (>20% rate regression, or more
+// allocations than the baseline's, fails the perf-smoke job):
 //
-//   engine_steady   schedule/dispatch churn on a bare sim::Simulator
-//   engine_cancel   timer churn: every work event cancels a timeout
-//                   event, exercising lazy deletion + compaction
-//   platform_scale  >= 1M invocations across 256 nodes through the full
-//                   FaaS platform (quick mode: 32k across 64 nodes)
+//   engine_steady      schedule/dispatch churn on a bare sim::Simulator
+//   engine_cancel      timer churn: every work event cancels a timeout
+//                      event, exercising lazy deletion + compaction
+//   platform_scale     >= 1M invocations across 256 nodes through the full
+//                      FaaS platform, recorders off (quick mode: 32k
+//                      across 64 nodes)
+//   platform_recorded  Canary (checkpoints + replicas) with the causal
+//                      event log on: the recording path every figure
+//                      bench takes (64k invocations; quick mode: 8k)
 //
 // Allocation counts come from interposing global operator new in this
 // binary, so allocations/event is exact, not sampled. Peak RSS comes
@@ -106,6 +110,7 @@ struct PhaseResult {
   std::uint64_t events = 0;       // events dispatched or resolved
   double wall_s = 0.0;
   std::uint64_t allocations = 0;  // operator new calls during the phase
+  std::uint64_t invocations = 0;  // platform phases only
   double events_per_sec() const {
     return wall_s > 0.0 ? static_cast<double>(events) / wall_s : 0.0;
   }
@@ -207,17 +212,11 @@ PhaseResult engine_cancel(std::uint64_t target) {
 }
 
 /// The full stack at scale: `jobs` x `functions_per_job` web-service
-/// invocations over `nodes` nodes with a small hazard error rate, event
-/// and span recording off (this phase measures the platform, not the
-/// recorders). Reports simulated events/sec.
-PhaseResult platform_scale(std::size_t nodes, std::size_t jobs,
-                           std::size_t functions_per_job,
-                           std::uint64_t* invocations_out) {
-  harness::ScenarioConfig config =
-      scenario(recovery::StrategyConfig::retry(), /*error_rate=*/0.02, nodes);
-  config.record_spans = false;
-  config.record_events = false;
-
+/// invocations through one ScenarioRunner::run of `config`. Reports
+/// simulated events/sec.
+PhaseResult platform_phase(std::string name,
+                           const harness::ScenarioConfig& config,
+                           std::size_t jobs, std::size_t functions_per_job) {
   std::vector<faas::JobSpec> batch;
   batch.reserve(jobs);
   for (std::size_t j = 0; j < jobs; ++j) {
@@ -225,22 +224,44 @@ PhaseResult platform_scale(std::size_t nodes, std::size_t jobs,
                                         functions_per_job,
                                         "scale_" + std::to_string(j)));
   }
-  *invocations_out =
-      static_cast<std::uint64_t>(jobs) * functions_per_job;
 
   const std::uint64_t alloc_start = allocations_now();
   const auto start = std::chrono::steady_clock::now();
   const harness::RunResult run = harness::ScenarioRunner::run(config, batch);
   PhaseResult result;
-  result.name = "platform_scale";
+  result.name = std::move(name);
   result.events = run.simulated_events;
   result.wall_s = wall_seconds_since(start);
   result.allocations = allocations_now() - alloc_start;
+  result.invocations = static_cast<std::uint64_t>(jobs) * functions_per_job;
   if (!run.completed) {
-    std::cerr << "platform_scale: run did not complete\n";
+    std::cerr << result.name << ": run did not complete\n";
     std::exit(1);
   }
   return result;
+}
+
+/// The platform alone: retry at a 2% hazard error rate, event and span
+/// recording off (this phase measures the platform, not the recorders).
+PhaseResult platform_scale(std::size_t nodes, std::size_t jobs,
+                           std::size_t functions_per_job) {
+  harness::ScenarioConfig config =
+      scenario(recovery::StrategyConfig::retry(), /*error_rate=*/0.02, nodes);
+  config.record_spans = false;
+  config.record_events = false;
+  return platform_phase("platform_scale", config, jobs, functions_per_job);
+}
+
+/// The recording-on path: Canary's checkpoint and replica modules at the
+/// same error rate, with the causal event log on (spans off). Every state
+/// commit appends to the log and writes a checkpoint into the KV store.
+PhaseResult platform_recorded(std::size_t nodes, std::size_t jobs,
+                              std::size_t functions_per_job) {
+  harness::ScenarioConfig config = scenario(
+      recovery::StrategyConfig::canary_full(), /*error_rate=*/0.02, nodes);
+  config.record_spans = false;
+  config.record_events = true;
+  return platform_phase("platform_recorded", config, jobs, functions_per_job);
 }
 
 void write_report(const std::string& path, bool quick, std::size_t nodes,
@@ -269,6 +290,7 @@ void write_report(const std::string& path, bool quick, std::size_t nodes,
     json.field("events_per_sec", phase.events_per_sec());
     json.field("allocations", phase.allocations);
     json.field("allocations_per_event", phase.allocations_per_event());
+    if (phase.invocations > 0) json.field("invocations", phase.invocations);
     json.end_object();
   }
   json.end_array();
@@ -305,6 +327,7 @@ int run(int argc, char** argv) {
   const std::size_t nodes = quick ? 64 : 256;
   const std::size_t jobs = quick ? 8 : 245;
   const std::size_t functions_per_job = 4096;  // 245 * 4096 = 1,003,520
+  const std::size_t recorded_jobs = quick ? 2 : 16;
 
   std::cout << "=== scale_stress (" << (quick ? "quick" : "full")
             << "): engine + platform hot-path throughput ===\n";
@@ -312,9 +335,9 @@ int run(int argc, char** argv) {
   std::vector<PhaseResult> phases;
   phases.push_back(engine_steady(engine_events));
   phases.push_back(engine_cancel(cancel_pairs));
-  std::uint64_t invocations = 0;
-  phases.push_back(
-      platform_scale(nodes, jobs, functions_per_job, &invocations));
+  phases.push_back(platform_scale(nodes, jobs, functions_per_job));
+  phases.push_back(platform_recorded(nodes, recorded_jobs, functions_per_job));
+  const std::uint64_t invocations = phases[2].invocations;
 
   TextTable table(
       {"phase", "events", "wall [s]", "events/sec", "allocs", "allocs/event"});
@@ -327,7 +350,8 @@ int run(int argc, char** argv) {
   }
   std::cout << "\n";
   table.print(std::cout);
-  std::cout << "\nplatform invocations: " << invocations << " across " << nodes
+  std::cout << "\nplatform invocations: " << invocations << " (recorded: "
+            << phases[3].invocations << ") across " << nodes
             << " nodes\npeak rss: " << peak_rss_bytes() / (1024 * 1024)
             << " MiB\n";
 

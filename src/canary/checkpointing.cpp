@@ -120,8 +120,9 @@ void CheckpointingModule::on_state_committed(const faas::Invocation& inv,
   row.kv_key = key;
   row.created = sim_.now();
 
-  std::string meta;
-  meta.reserve(64);  // the spill record's ";loc=..." suffix included
+  // The metadata record is formatted into a buffer reused across commits.
+  std::string& meta = record_;
+  meta.clear();
   meta += "job=";
   meta += to_string(inv.job);
   meta += ";fn=";
@@ -136,7 +137,7 @@ void CheckpointingModule::on_state_committed(const faas::Invocation& inv,
     // The KV store is replicated (and persistent in the testbed config),
     // so in-KV checkpoints survive node failures immediately.
     row.flushed_to_shared = true;
-    const Status put = store_.put(key, std::move(meta), payload, inv.node);
+    const Status put = store_.put(key, meta, payload, inv.node);
     if (!put.ok()) {
       // A degraded store (shard fault, capacity, fenced/partitioned
       // writer) must never crash the checkpoint path: the state commit
@@ -154,8 +155,8 @@ void CheckpointingModule::on_state_committed(const faas::Invocation& inv,
     row.flushed_to_shared = tier_profile.shared;
     meta += ";loc=";
     meta += to_string_view(row.location);
-    const Status put = store_.put(key, std::move(meta), config_.metadata_size,
-                                  inv.node);
+    const Status put =
+        store_.put(key, meta, config_.metadata_size, inv.node);
     if (!put.ok()) {
       m_write_failures_.add();
       CANARY_LOG_WARN("checkpoint metadata put failed for "
@@ -180,12 +181,13 @@ void CheckpointingModule::on_state_committed(const faas::Invocation& inv,
     // of the state commit, not steps on the critical path.
     obs::SpanLabels labels{inv.job, inv.id, inv.container, inv.node,
                            inv.attempt};
-    events_->append(inv.trace, obs::EventKind::kCheckpoint,
-                    "checkpoint_" + std::to_string(idx), sim_.now(), labels);
+    events_->append_state(inv.trace, obs::EventKind::kCheckpoint, idx,
+                          sim_.now(), labels);
   }
 
   // A recommit of the same state (after a restore) replaces the old row;
   // retention keeps the latest n checkpoints (Algorithm 1 lines 14-16).
+  const FunctionId fn = inv.id;
   const CheckpointId row_id = row.checkpoint;
   const bool needs_flush = !row.flushed_to_shared;
   unsigned& retention = metadata_.checkpoint_retention(inv.id);
@@ -201,8 +203,8 @@ void CheckpointingModule::on_state_committed(const faas::Invocation& inv,
     const Duration flush_time =
         config_.async_flush_delay +
         storage_.write_time(cluster::StorageTier::kNfs, payload);
-    sim_.schedule_after(flush_time, [this, row_id] {
-      auto* pending = metadata_.mutable_checkpoint(row_id);
+    sim_.schedule_after(flush_time, [this, fn, row_id] {
+      auto* pending = metadata_.mutable_checkpoint(fn, row_id);
       if (pending == nullptr) return;  // evicted by retention meanwhile
       if (!cluster_.node(pending->stored_on).alive()) return;  // lost
       pending->flushed_to_shared = true;
@@ -216,7 +218,7 @@ RestorePlan CheckpointingModule::restore_plan(FunctionId fn,
   if (!config_.enabled) return plan;
   const auto& rows = metadata_.checkpoints_of(fn);
   for (auto it = rows.rbegin(); it != rows.rend(); ++it) {
-    const CheckpointInfoRow& row = **it;
+    const CheckpointInfoRow& row = *it;
     Duration read = Duration::zero();
     if (row.location == cluster::StorageTier::kKvStore) {
       if (!store_.contains(row.kv_key)) continue;  // lost with cache nodes
@@ -288,8 +290,8 @@ void CheckpointingModule::zombie_commit(NodeId node, FunctionId fn) {
 }
 
 void CheckpointingModule::drop_function(FunctionId fn) {
-  for (const auto* row : metadata_.checkpoints_of(fn)) {
-    (void)store_.remove(row->kv_key);
+  for (const CheckpointInfoRow& row : metadata_.checkpoints_of(fn)) {
+    (void)store_.remove(row.kv_key);
   }
   metadata_.remove_checkpoints_of(fn);
 }

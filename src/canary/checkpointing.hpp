@@ -136,6 +136,7 @@ class CheckpointingModule {
   obs::EventLog* events_ = nullptr;
   CheckpointingConfig config_;
   IdGenerator<CheckpointId> ids_;
+  std::string record_;  // the metadata record under construction
 };
 
 }  // namespace canary::core

@@ -61,46 +61,40 @@ std::vector<const FunctionInfoRow*> MetadataStore::functions_of_job(
 }
 
 void MetadataStore::insert_checkpoint(CheckpointInfoRow row) {
-  const CheckpointId id = row.checkpoint;
-  const FunctionId fn = row.function;
-  auto [it, inserted] = checkpoints_.emplace(id, std::move(row));
-  CANARY_CHECK(inserted, "duplicate checkpoint row");
-  const CheckpointInfoRow* stored = &it->second;
-  auto& rows = checkpoints_by_fn_[fn].rows;
+  auto& rows = checkpoints_by_fn_[row.function].rows;
   // Commits arrive in state order, so this is nearly always the end.
   auto pos = rows.end();
   while (pos != rows.begin() &&
-         (*std::prev(pos))->state_index > stored->state_index) {
+         std::prev(pos)->state_index > row.state_index) {
     --pos;
   }
-  rows.insert(pos, stored);
+  rows.insert(pos, std::move(row));
 }
 
-void MetadataStore::erase_checkpoint_row(FunctionCheckpoints& per_fn,
-                                         std::size_t pos) {
-  const CheckpointId id = per_fn.rows[pos]->checkpoint;
-  per_fn.rows.erase(per_fn.rows.begin() + static_cast<std::ptrdiff_t>(pos));
-  checkpoints_.erase(id);
+void MetadataStore::remove_checkpoint(FunctionId fn, CheckpointId id) {
+  auto it = checkpoints_by_fn_.find(fn);
+  if (it == checkpoints_by_fn_.end()) return;
+  auto& rows = it->second.rows;
+  rows.erase(std::remove_if(rows.begin(), rows.end(),
+                            [id](const CheckpointInfoRow& row) {
+                              return row.checkpoint == id;
+                            }),
+             rows.end());
 }
 
-void MetadataStore::remove_checkpoint(CheckpointId id) {
-  auto it = checkpoints_.find(id);
-  if (it == checkpoints_.end()) return;
-  auto& per_fn = checkpoints_by_fn_[it->second.function];
-  const auto pos =
-      std::find(per_fn.rows.begin(), per_fn.rows.end(), &it->second);
-  erase_checkpoint_row(per_fn,
-                       static_cast<std::size_t>(pos - per_fn.rows.begin()));
+CheckpointInfoRow* MetadataStore::mutable_checkpoint(FunctionId fn,
+                                                     CheckpointId id) {
+  auto it = checkpoints_by_fn_.find(fn);
+  if (it == checkpoints_by_fn_.end()) return nullptr;
+  for (CheckpointInfoRow& row : it->second.rows) {
+    if (row.checkpoint == id) return &row;
+  }
+  return nullptr;
 }
 
-CheckpointInfoRow* MetadataStore::mutable_checkpoint(CheckpointId id) {
-  auto it = checkpoints_.find(id);
-  return it == checkpoints_.end() ? nullptr : &it->second;
-}
-
-const std::vector<const CheckpointInfoRow*>& MetadataStore::checkpoints_of(
+const std::vector<CheckpointInfoRow>& MetadataStore::checkpoints_of(
     FunctionId fn) const {
-  static const std::vector<const CheckpointInfoRow*> kNone;
+  static const std::vector<CheckpointInfoRow> kNone;
   auto it = checkpoints_by_fn_.find(fn);
   return it == checkpoints_by_fn_.end() ? kNone : it->second.rows;
 }
@@ -114,12 +108,7 @@ unsigned& MetadataStore::checkpoint_retention(FunctionId fn) {
 }
 
 void MetadataStore::remove_checkpoints_of(FunctionId fn) {
-  auto it = checkpoints_by_fn_.find(fn);
-  if (it == checkpoints_by_fn_.end()) return;
-  for (const CheckpointInfoRow* row : it->second.rows) {
-    checkpoints_.erase(row->checkpoint);
-  }
-  checkpoints_by_fn_.erase(it);
+  checkpoints_by_fn_.erase(fn);
 }
 
 void MetadataStore::insert_replica(ReplicationInfoRow row) {

@@ -7,6 +7,7 @@
 // (failed function -> runtime -> replica -> latest checkpoint).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -107,25 +108,27 @@ class MetadataStore {
   std::vector<const FunctionInfoRow*> functions_of_job(JobId id) const;
 
   // -- checkpoint_info ---------------------------------------------------
-  // Each function's rows are indexed oldest-first by state index as they
-  // are inserted, so no lookup below scans or sorts.
+  // Each function keeps its rows by value, oldest state first. Retention
+  // bounds a function to a handful of rows, so lookups by checkpoint id
+  // scan that function's rows, and a commit in steady state reuses the
+  // row vector's storage.
 
   /// Insert `row` at its state-index position (after equal indices).
   void insert_checkpoint(CheckpointInfoRow row);
-  /// Algorithm 1's commit: insert `row`, replacing the function's row of
-  /// the same state (a recommit after a restore), then drop the oldest
-  /// rows by state index until at most `retention` remain — the new row
-  /// too, if it is the oldest. `evicted` sees each dropped row just
-  /// before it is erased; the replaced row is not passed to it.
+  /// Algorithm 1's commit: replace the function's row of the same state
+  /// in place (a recommit after a restore) or insert `row`, then drop the
+  /// oldest rows by state index until at most `retention` remain — the
+  /// new row too, if it is the oldest. `evicted` sees each dropped row
+  /// just before it is erased; the replaced row is not passed to it.
   template <typename Evicted>
   void commit_checkpoint(CheckpointInfoRow row, unsigned retention,
                          Evicted&& evicted);
-  void remove_checkpoint(CheckpointId id);
-  CheckpointInfoRow* mutable_checkpoint(CheckpointId id);
+  void remove_checkpoint(FunctionId fn, CheckpointId id);
+  /// `fn`'s row `id`, or null once the row was replaced or evicted.
+  CheckpointInfoRow* mutable_checkpoint(FunctionId fn, CheckpointId id);
   /// Rows for `fn`, ordered oldest-first by state index. The reference
   /// stays valid until the next write to `fn`'s checkpoints.
-  const std::vector<const CheckpointInfoRow*>& checkpoints_of(
-      FunctionId fn) const;
+  const std::vector<CheckpointInfoRow>& checkpoints_of(FunctionId fn) const;
   std::size_t checkpoint_count(FunctionId fn) const;
   /// Latest-n bound stored beside `fn`'s rows (0 = not yet set), so it is
   /// computed once per function and freed by remove_checkpoints_of.
@@ -150,19 +153,16 @@ class MetadataStore {
 
  private:
   struct FunctionCheckpoints {
-    std::vector<const CheckpointInfoRow*> rows;  // oldest state first
+    std::vector<CheckpointInfoRow> rows;  // oldest state first
     unsigned retention = 0;
   };
-
-  void erase_checkpoint_row(FunctionCheckpoints& per_fn, std::size_t pos);
 
   std::unordered_map<NodeId, WorkerInfoRow> workers_;
   std::unordered_map<JobId, JobInfoRow> jobs_;
   std::unordered_map<FunctionId, FunctionInfoRow> functions_;
+  std::unordered_map<FunctionId, FunctionCheckpoints> checkpoints_by_fn_;
   // Row pointers into the node-based maps stay valid until the row is
   // erased.
-  std::unordered_map<CheckpointId, CheckpointInfoRow> checkpoints_;
-  std::unordered_map<FunctionId, FunctionCheckpoints> checkpoints_by_fn_;
   std::unordered_map<ReplicaId, ReplicationInfoRow> replicas_;
   std::unordered_map<ContainerId, ReplicationInfoRow*> replica_by_container_;
   std::unordered_map<faas::RuntimeImage, std::vector<ReplicationInfoRow*>>
@@ -172,17 +172,21 @@ class MetadataStore {
 template <typename Evicted>
 void MetadataStore::commit_checkpoint(CheckpointInfoRow row,
                                       unsigned retention, Evicted&& evicted) {
-  FunctionCheckpoints& per_fn = checkpoints_by_fn_[row.function];
-  for (std::size_t i = 0; i < per_fn.rows.size(); ++i) {
-    if (per_fn.rows[i]->state_index == row.state_index) {
-      erase_checkpoint_row(per_fn, i);
-      break;
-    }
+  std::vector<CheckpointInfoRow>& rows = checkpoints_by_fn_[row.function].rows;
+  // One allocation per function: the rows never outgrow retention + 1.
+  if (rows.capacity() == 0) rows.reserve(retention + 1);
+  const auto same_state =
+      std::find_if(rows.begin(), rows.end(), [&row](const auto& existing) {
+        return existing.state_index == row.state_index;
+      });
+  if (same_state != rows.end()) {
+    *same_state = std::move(row);
+  } else {
+    insert_checkpoint(std::move(row));
   }
-  insert_checkpoint(std::move(row));
-  while (per_fn.rows.size() > retention) {
-    evicted(*per_fn.rows.front());
-    erase_checkpoint_row(per_fn, 0);
+  while (rows.size() > retention) {
+    evicted(rows.front());
+    rows.erase(rows.begin());
   }
 }
 

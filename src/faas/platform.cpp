@@ -95,8 +95,8 @@ obs::EventId Platform::obs_event(InvocationInternal& inv, obs::EventKind kind,
                                  std::string_view name, obs::EventId cause) {
   if (events_ == nullptr) return obs::kNoEvent;
   if (!inv.trace.trace.valid()) inv.trace.trace = events_->new_trace();
-  return events_->extend(inv.trace, kind, std::string(name), sim_.now(),
-                         obs_labels(inv), cause);
+  return events_->extend(inv.trace, kind, name, sim_.now(), obs_labels(inv),
+                         cause);
 }
 
 void Platform::arm_slo(InvocationInternal& inv, Duration sla,
@@ -699,8 +699,13 @@ void Platform::schedule_next_state(InvocationInternal& inv) {
     }
     target.work_done += target.spec->states[idx].duration;
     target.next_state = idx + 1;
-    obs_event(target, obs::EventKind::kStateCommit,
-              "state_" + std::to_string(idx));
+    if (events_ != nullptr) {
+      if (!target.trace.trace.valid()) {
+        target.trace.trace = events_->new_trace();
+      }
+      events_->extend_state(target.trace, obs::EventKind::kStateCommit, idx,
+                            sim_.now(), obs_labels(target));
+    }
     if (hooks_ != nullptr) hooks_->on_state_committed(target, idx);
     resolve_recovery_markers(target);
     schedule_next_state(target);

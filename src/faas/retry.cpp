@@ -7,7 +7,7 @@ namespace canary::faas {
 void RetryHandler::on_failure(const Invocation& inv, const FailureInfo& info) {
   (void)info;
   if (config_.max_retries > 0 && inv.failures > config_.max_retries) {
-    ++giveups_;
+    platform_.metrics().count("retry_giveups");
     CANARY_LOG_WARN("retry budget exhausted for function "
                     << to_string(inv.id));
     return;

@@ -23,14 +23,13 @@ class RetryHandler : public RecoveryHandler {
   RetryHandler(Platform& platform, Config config)
       : platform_(platform), config_(config) {}
 
+  /// A function past its retry budget is abandoned and counted as
+  /// retry_giveups in the platform's registry.
   void on_failure(const Invocation& inv, const FailureInfo& info) override;
-
-  int giveups() const { return giveups_; }
 
  private:
   Platform& platform_;
   Config config_;
-  int giveups_ = 0;
 };
 
 }  // namespace canary::faas

@@ -506,7 +506,7 @@ std::vector<std::string> chaos_oracles(const ChaosScenario& scenario,
   for (const obs::Event& event : events) {
     if (event.kind == obs::EventKind::kFailure) {
       open_failures[event.trace.value()] = {
-          event.at, event.name == "node_failure"};
+          event.at, result.events->name_of(event) == "node_failure"};
     } else if (event.kind == obs::EventKind::kDetect) {
       auto it = open_failures.find(event.trace.value());
       if (it == open_failures.end()) continue;

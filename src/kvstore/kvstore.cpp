@@ -4,7 +4,7 @@
 
 namespace canary::kv {
 
-std::uint64_t kv_checksum(const std::string& payload) {
+std::uint64_t kv_checksum(std::string_view payload) {
   std::uint64_t hash = 14695981039346656037ULL;
   for (const char c : payload) {
     hash ^= static_cast<unsigned char>(c);
@@ -15,27 +15,17 @@ std::uint64_t kv_checksum(const std::string& payload) {
 
 KvStore::KvStore(KvConfig config, std::vector<NodeId> cache_nodes)
     : config_(config), cache_nodes_(std::move(cache_nodes)) {
-  CANARY_CHECK(config_.shard_count > 0, "shard_count must be positive");
   CANARY_CHECK(!cache_nodes_.empty(), "KV store needs at least one cache node");
-  shards_.reserve(config_.shard_count);
-  for (std::size_t i = 0; i < config_.shard_count; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
+}
+
+void KvStore::choose_owners(const std::string& key,
+                            std::vector<NodeId>& owners) const {
+  if (config_.mode == CacheMode::kReplicated) {
+    owners.assign(cache_nodes_.begin(), cache_nodes_.end());
+    return;
   }
-}
-
-KvStore::Shard& KvStore::shard_for(const std::string& key) {
-  return *shards_[std::hash<std::string>{}(key) % shards_.size()];
-}
-
-const KvStore::Shard& KvStore::shard_for(const std::string& key) const {
-  return *shards_[std::hash<std::string>{}(key) % shards_.size()];
-}
-
-std::vector<NodeId> KvStore::choose_owners(const std::string& key) const {
-  // Caller holds membership_mutex_ (shared or exclusive).
-  if (config_.mode == CacheMode::kReplicated) return cache_nodes_;
-  if (cache_nodes_.empty()) return {};
-  std::vector<NodeId> owners;
+  owners.clear();
+  if (cache_nodes_.empty()) return;
   const std::size_t copies =
       std::min<std::size_t>(1 + config_.backups, cache_nodes_.size());
   const std::size_t start = std::hash<std::string>{}(key) % cache_nodes_.size();
@@ -74,210 +64,161 @@ std::vector<NodeId> KvStore::choose_owners(const std::string& key) const {
       owners.push_back(pick);
       ++cursor;
     }
-    return owners;
+    return;
   }
   for (std::size_t i = 0; i < copies; ++i) {
     owners.push_back(cache_nodes_[(start + i) % cache_nodes_.size()]);
   }
-  return owners;
 }
 
-Status KvStore::put(const std::string& key, std::string payload,
+Status KvStore::put(const std::string& key, std::string_view payload,
                     std::optional<Bytes> logical_size) {
   const Bytes size = logical_size.value_or(Bytes::of(payload.size()));
   if (size > config_.max_entry_size) {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.rejected_oversize;
     return Error::resource_exhausted(
         "entry exceeds per-key limit; spill to a storage tier");
   }
-  std::vector<NodeId> owners;
-  {
-    std::shared_lock<std::shared_mutex> mlock(membership_mutex_);
-    owners = choose_owners(key);
-  }
-  if (owners.empty() && !config_.native_persistence) {
+  if (cache_nodes_.empty() && !config_.native_persistence) {
     return Error::unavailable("no cache node alive");
   }
-  auto& shard = shard_for(key);
-  {
-    std::unique_lock<std::shared_mutex> lock(shard.mutex);
-    auto& entry = shard.map[key];
-    entry.payload = std::move(payload);
-    entry.logical_size = size;
-    ++entry.version;
-    entry.checksum = kv_checksum(entry.payload);
-    entry.owners = std::move(owners);
+  auto it = map_.find(key);
+  if (it == map_.end()) {
+    if (free_nodes_.empty()) {
+      it = map_.emplace(key, KvEntry{}).first;
+    } else {
+      // A recycled node keeps its key and buffer capacity; its entry
+      // starts over as a new key would.
+      Map::node_type node = std::move(free_nodes_.back());
+      free_nodes_.pop_back();
+      node.key() = key;
+      node.mapped().version = 0;
+      it = map_.insert(std::move(node)).position;
+    }
   }
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.puts;
-  }
+  KvEntry& entry = it->second;
+  entry.payload.assign(payload);
+  entry.logical_size = size;
+  ++entry.version;
+  entry.checksum = kv_checksum(entry.payload);
+  choose_owners(key, entry.owners);
+  ++stats_.puts;
   return Status::ok_status();
 }
 
-Status KvStore::put(const std::string& key, std::string payload,
+Status KvStore::put(const std::string& key, std::string_view payload,
                     std::optional<Bytes> logical_size, NodeId writer) {
   if (writer.valid()) {
     // The epoch gate first: a fenced writer stays rejected even after the
     // partition heals and it regains quorum — its epoch is stale forever.
     if (node_fenced(writer)) {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
       ++stats_.stale_epoch_rejects;
       return Error::unavailable("stale epoch: writer was fenced");
     }
     if (writer_quorum_ && !writer_quorum_(writer)) {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
       ++stats_.quorum_blocked_puts;
       return Error::unavailable("writer cannot reach the KV quorum");
     }
   }
-  return put(key, std::move(payload), logical_size);
+  return put(key, payload, logical_size);
+}
+
+void KvStore::recycle(Map::iterator it) {
+  free_nodes_.push_back(map_.extract(it));
 }
 
 Result<KvEntry> KvStore::get(const std::string& key) const {
-  const auto& shard = shard_for(key);
-  std::optional<KvEntry> found;
-  {
-    std::shared_lock<std::shared_mutex> lock(shard.mutex);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) found = it->second;
-  }
-  std::lock_guard<std::mutex> lock(stats_mutex_);
   ++stats_.gets;
-  if (!found) {
+  const auto it = map_.find(key);
+  if (it == map_.end()) {
     ++stats_.misses;
     return Error::not_found("key not present: " + key);
   }
   ++stats_.hits;
-  return *found;
+  return it->second;
 }
 
 bool KvStore::contains(const std::string& key) const {
-  const auto& shard = shard_for(key);
-  std::shared_lock<std::shared_mutex> lock(shard.mutex);
-  return shard.map.find(key) != shard.map.end();
+  return map_.find(key) != map_.end();
 }
 
 bool KvStore::intact(const std::string& key) const {
-  const auto& shard = shard_for(key);
-  std::shared_lock<std::shared_mutex> lock(shard.mutex);
-  auto it = shard.map.find(key);
-  if (it == shard.map.end()) return false;
+  const auto it = map_.find(key);
+  if (it == map_.end()) return false;
   return it->second.checksum == kv_checksum(it->second.payload);
 }
 
 bool KvStore::corrupt_entry(const std::string& key) {
-  auto& shard = shard_for(key);
-  {
-    std::unique_lock<std::shared_mutex> lock(shard.mutex);
-    auto it = shard.map.find(key);
-    if (it == shard.map.end()) return false;
-    // Flip a payload byte (or plant a poison byte into an empty payload)
-    // so the stored checksum no longer matches.
-    if (it->second.payload.empty()) {
-      it->second.payload.push_back('\x5a');
-    } else {
-      it->second.payload[0] =
-          static_cast<char>(it->second.payload[0] ^ '\x5a');
-    }
+  const auto it = map_.find(key);
+  if (it == map_.end()) return false;
+  // Flip a payload byte (or plant a poison byte into an empty payload)
+  // so the stored checksum no longer matches.
+  std::string& payload = it->second.payload;
+  if (payload.empty()) {
+    payload.push_back('\x5a');
+  } else {
+    payload[0] = static_cast<char>(payload[0] ^ '\x5a');
   }
-  std::lock_guard<std::mutex> lock(stats_mutex_);
   ++stats_.entries_corrupted;
   return true;
 }
 
 bool KvStore::drop_entry(const std::string& key) {
-  auto& shard = shard_for(key);
-  std::size_t erased = 0;
-  {
-    std::unique_lock<std::shared_mutex> lock(shard.mutex);
-    erased = shard.map.erase(key);
-  }
-  if (erased == 0) return false;
-  std::lock_guard<std::mutex> lock(stats_mutex_);
+  const auto it = map_.find(key);
+  if (it == map_.end()) return false;
+  recycle(it);
   ++stats_.entries_lost;
   return true;
 }
 
 Status KvStore::remove(const std::string& key) {
-  auto& shard = shard_for(key);
-  std::size_t erased = 0;
-  {
-    std::unique_lock<std::shared_mutex> lock(shard.mutex);
-    erased = shard.map.erase(key);
-  }
-  std::lock_guard<std::mutex> lock(stats_mutex_);
   ++stats_.removes;
-  if (erased == 0) return Error::not_found("key not present: " + key);
+  const auto it = map_.find(key);
+  if (it == map_.end()) return Error::not_found("key not present: " + key);
+  recycle(it);
   return Status::ok_status();
 }
 
 std::vector<std::string> KvStore::keys_with_prefix(
     const std::string& prefix) const {
   std::vector<std::string> keys;
-  for (const auto& shard : shards_) {
-    std::shared_lock<std::shared_mutex> lock(shard->mutex);
-    for (const auto& [key, entry] : shard->map) {
-      if (key.rfind(prefix, 0) == 0) keys.push_back(key);
-    }
+  for (const auto& [key, entry] : map_) {
+    if (key.rfind(prefix, 0) == 0) keys.push_back(key);
   }
   std::sort(keys.begin(), keys.end());
   return keys;
 }
 
-std::size_t KvStore::size() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::shared_lock<std::shared_mutex> lock(shard->mutex);
-    total += shard->map.size();
-  }
-  return total;
-}
+std::size_t KvStore::size() const { return map_.size(); }
 
 Bytes KvStore::logical_bytes() const {
   Bytes total = Bytes::zero();
-  for (const auto& shard : shards_) {
-    std::shared_lock<std::shared_mutex> lock(shard->mutex);
-    for (const auto& [key, entry] : shard->map) total += entry.logical_size;
-  }
+  for (const auto& [key, entry] : map_) total += entry.logical_size;
   return total;
 }
 
-KvStats KvStore::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  return stats_;
-}
+KvStats KvStore::stats() const { return stats_; }
 
 void KvStore::fail_node(NodeId node) {
-  {
-    std::unique_lock<std::shared_mutex> mlock(membership_mutex_);
-    auto it = std::find(cache_nodes_.begin(), cache_nodes_.end(), node);
-    if (it == cache_nodes_.end()) return;
-    cache_nodes_.erase(it);
-    dead_nodes_.push_back(node);
-  }
-  std::uint64_t lost = 0;
-  for (const auto& shard : shards_) {
-    std::unique_lock<std::shared_mutex> lock(shard->mutex);
-    for (auto it = shard->map.begin(); it != shard->map.end();) {
-      auto& owners = it->second.owners;
-      owners.erase(std::remove(owners.begin(), owners.end(), node),
-                   owners.end());
-      if (owners.empty() && !config_.native_persistence) {
-        it = shard->map.erase(it);
-        ++lost;
-      } else {
-        ++it;
-      }
+  auto dead = std::find(cache_nodes_.begin(), cache_nodes_.end(), node);
+  if (dead == cache_nodes_.end()) return;
+  cache_nodes_.erase(dead);
+  dead_nodes_.push_back(node);
+  for (auto it = map_.begin(); it != map_.end();) {
+    auto& owners = it->second.owners;
+    owners.erase(std::remove(owners.begin(), owners.end(), node),
+                 owners.end());
+    if (owners.empty() && !config_.native_persistence) {
+      const auto lost = it++;
+      recycle(lost);
+      ++stats_.entries_lost;
+    } else {
+      ++it;
     }
   }
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  stats_.entries_lost += lost;
 }
 
 void KvStore::restore_node(NodeId node) {
-  std::unique_lock<std::shared_mutex> mlock(membership_mutex_);
   fenced_nodes_.erase(
       std::remove(fenced_nodes_.begin(), fenced_nodes_.end(), node),
       fenced_nodes_.end());
@@ -288,7 +229,6 @@ void KvStore::restore_node(NodeId node) {
 }
 
 void KvStore::fence_node(NodeId node) {
-  std::unique_lock<std::shared_mutex> mlock(membership_mutex_);
   if (std::find(fenced_nodes_.begin(), fenced_nodes_.end(), node) ==
       fenced_nodes_.end()) {
     fenced_nodes_.push_back(node);
@@ -296,7 +236,6 @@ void KvStore::fence_node(NodeId node) {
 }
 
 bool KvStore::node_fenced(NodeId node) const {
-  std::shared_lock<std::shared_mutex> mlock(membership_mutex_);
   return std::find(fenced_nodes_.begin(), fenced_nodes_.end(), node) !=
          fenced_nodes_.end();
 }

@@ -13,18 +13,17 @@
 //   * version counters per key and prefix scans (used to enumerate the
 //     latest-n checkpoints of a function).
 //
-// The store is genuinely concurrent — sharded with per-shard shared
-// mutexes — because examples and tests exercise it from multiple threads,
-// even though each simulation run drives it single-threaded.
+// Every run owns its store and drives it from one thread, so the store
+// takes no locks. A checkpoint commit allocates nothing in steady state:
+// a put writes payload, owners and checksum into the existing entry's
+// buffers, and a new key reuses the map node of an erased one.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -40,7 +39,6 @@ enum class CacheMode {
 };
 
 struct KvConfig {
-  std::size_t shard_count = 16;
   /// Per-entry limit; Algorithm 1's `db_limit`.
   Bytes max_entry_size = Bytes::mib(4);
   CacheMode mode = CacheMode::kReplicated;
@@ -68,7 +66,7 @@ struct KvEntry {
 };
 
 /// FNV-1a64 of a payload; the checksum stored alongside every entry.
-std::uint64_t kv_checksum(const std::string& payload);
+std::uint64_t kv_checksum(std::string_view payload);
 
 struct KvStats {
   std::uint64_t puts = 0;
@@ -99,7 +97,7 @@ class KvStore {
   /// for a larger object (a spilled checkpoint's location record carries
   /// the checkpoint's real size out-of-band). Returns
   /// kResourceExhausted when `logical_size` exceeds the per-entry limit.
-  Status put(const std::string& key, std::string payload,
+  Status put(const std::string& key, std::string_view payload,
              std::optional<Bytes> logical_size = std::nullopt);
 
   /// Writer-attributed put: the commit path for checkpoint/state writes.
@@ -108,7 +106,7 @@ class KvStore {
   /// predicate (quorum_blocked_puts). An invalid writer id or an
   /// unfenced writer with no predicate installed behaves exactly like the
   /// plain put above.
-  Status put(const std::string& key, std::string payload,
+  Status put(const std::string& key, std::string_view payload,
              std::optional<Bytes> logical_size, NodeId writer);
 
   Result<KvEntry> get(const std::string& key) const;
@@ -162,28 +160,25 @@ class KvStore {
   }
 
  private:
-  struct Shard {
-    mutable std::shared_mutex mutex;
-    std::unordered_map<std::string, KvEntry> map;
-  };
+  using Map = std::unordered_map<std::string, KvEntry>;
 
-  Shard& shard_for(const std::string& key);
-  const Shard& shard_for(const std::string& key) const;
-  std::vector<NodeId> choose_owners(const std::string& key) const;
-  bool entry_alive(const KvEntry& entry) const;
+  /// Overwrite `owners` with the cache nodes that hold `key`'s copies.
+  void choose_owners(const std::string& key,
+                     std::vector<NodeId>& owners) const;
+  /// Erase the entry at `it`, keeping its node (key and buffers) for the
+  /// next new key.
+  void recycle(Map::iterator it);
 
   KvConfig config_;
   std::function<bool(NodeId)> writer_quorum_;
   std::function<std::uint32_t(NodeId)> zone_of_;
   std::vector<NodeId> cache_nodes_;
   std::vector<NodeId> dead_nodes_;
-  /// Nodes whose write epoch was advanced by fence_node; guarded by
-  /// membership_mutex_.
+  /// Nodes whose write epoch was advanced by fence_node.
   std::vector<NodeId> fenced_nodes_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  mutable std::mutex stats_mutex_;
+  Map map_;
+  std::vector<Map::node_type> free_nodes_;
   mutable KvStats stats_;  // gets/hits/misses are counted in const reads
-  mutable std::shared_mutex membership_mutex_;
 };
 
 }  // namespace canary::kv

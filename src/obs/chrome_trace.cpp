@@ -53,9 +53,10 @@ std::int64_t event_tid(const Event& event) {
              : std::int64_t{0};
 }
 
-void write_log_event(JsonWriter& json, const Event& event) {
+void write_log_event(JsonWriter& json, const EventLog& log,
+                     const Event& event) {
   json.begin_object();
-  json.field("name", event.name);
+  json.field("name", log.name_of(event));
   json.field("cat", to_string_view(event.kind));
   json.field("ph", "i");
   json.field("ts", event.at.count_usec());
@@ -79,10 +80,11 @@ void write_log_event(JsonWriter& json, const Event& event) {
 /// A `cause` edge renders as a flow arrow: a start record at the cause
 /// event's (time, track) and a binding-point-enclosing finish record at
 /// the effect's. Chrome pairs the two through the shared id.
-void write_flow_pair(JsonWriter& json, const Event& cause,
-                     const Event& effect) {
+void write_flow_pair(JsonWriter& json, const EventLog& log,
+                     const Event& cause, const Event& effect) {
+  const std::string name = log.name_of(effect);
   json.begin_object();
-  json.field("name", effect.name);
+  json.field("name", name);
   json.field("cat", "causal");
   json.field("ph", "s");
   json.field("id", effect.id);
@@ -92,7 +94,7 @@ void write_flow_pair(JsonWriter& json, const Event& cause,
   json.end_object();
 
   json.begin_object();
-  json.field("name", effect.name);
+  json.field("name", name);
   json.field("cat", "causal");
   json.field("ph", "f");
   json.field("bp", "e");
@@ -157,10 +159,10 @@ void write_chrome_trace(std::ostream& os, const SpanRecorder* spans,
   }
   if (events != nullptr) {
     for (const Event& event : events->events()) {
-      write_log_event(json, event);
+      write_log_event(json, *events, event);
       if (event.cause != kNoEvent) {
         if (const Event* cause = events->find(event.cause)) {
-          write_flow_pair(json, *cause, event);
+          write_flow_pair(json, *events, *cause, event);
         }
       }
     }

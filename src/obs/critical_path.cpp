@@ -177,16 +177,19 @@ CriticalPathAnalyzer::CriticalPathAnalyzer(const EventLog& log) {
 }
 
 void CriticalPathAnalyzer::analyze(const EventLog& log) {
-  std::map<FunctionId, FunctionTimeline> timelines;
+  // Indexed by the dense FunctionId value; ascending index is the id
+  // order the per-function results are built in.
+  std::vector<FunctionTimeline> timelines;
   for (const Event& event : log.events()) {
     const FunctionId fn = event.labels.function;
     if (!fn.valid()) continue;
-    FunctionTimeline& tl = timelines[fn];
+    if (fn.value() >= timelines.size()) timelines.resize(fn.value() + 1);
+    FunctionTimeline& tl = timelines[fn.value()];
     if (event.at > tl.last_seen) tl.last_seen = event.at;
     if ((event.kind == EventKind::kSubmit || event.kind == EventKind::kShed ||
          event.kind == EventKind::kQueued) &&
         tl.family.empty()) {
-      tl.family = base_function_name(event.name);
+      tl.family = base_function_name(log.name_of(event));
     }
     if (event.kind == EventKind::kRecovered && event.cause != kNoEvent) {
       if (const Event* failure = log.find(event.cause)) {
@@ -207,9 +210,11 @@ void CriticalPathAnalyzer::analyze(const EventLog& log) {
     tl.transitions.emplace_back(event.at, state);
   }
 
-  for (auto& [fn, tl] : timelines) {
-    if (tl.family.empty()) tl.family = "unknown";
+  for (std::size_t slot = 0; slot < timelines.size(); ++slot) {
+    FunctionTimeline& tl = timelines[slot];
     if (tl.transitions.empty()) continue;
+    if (tl.family.empty()) tl.family = "unknown";
+    const FunctionId fn{slot};
     const TimePoint first = tl.transitions.front().first;
 
     PerFunction& pf = functions_[fn];

@@ -4,6 +4,7 @@
 #include <ostream>
 
 #include "common/logging.hpp"
+#include "common/result.hpp"
 #include "obs/json.hpp"
 
 namespace canary::obs {
@@ -35,49 +36,89 @@ std::string_view to_string_view(EventKind kind) {
   return "unknown";
 }
 
-EventId EventLog::append_raw(TraceId trace, EventId parent, EventKind kind,
-                             std::string name, TimePoint at, SpanLabels labels,
-                             EventId cause) {
-  if (events_.size() >= capacity_) {
-    ++dropped_;
-    const auto slot = static_cast<std::size_t>(kind);
-    ++dropped_by_kind_[slot];
-    if (!drop_warned_[slot]) {
-      drop_warned_[slot] = true;
-      CANARY_LOG_WARN("event log at capacity (" << capacity_ << "): dropping '"
-                                                << to_string_view(kind)
-                                                << "' events");
-    }
-    return kNoEvent;
+bool EventLog::at_capacity(EventKind kind) {
+  if (events_.size() < capacity_) return false;
+  ++dropped_;
+  const auto slot = static_cast<std::size_t>(kind);
+  ++dropped_by_kind_[slot];
+  if (!drop_warned_[slot]) {
+    drop_warned_[slot] = true;
+    CANARY_LOG_WARN("event log at capacity (" << capacity_ << "): dropping '"
+                                              << to_string_view(kind)
+                                              << "' events");
   }
+  return true;
+}
+
+std::uint32_t EventLog::intern(std::string_view name) {
+  const auto it = name_ids_.find(name);
+  if (it != name_ids_.end()) return it->second;
+  const auto id = static_cast<std::uint32_t>(names_.size());
+  const std::string& stored = names_.emplace_back(name);
+  name_ids_.emplace(stored, id);
+  return id;
+}
+
+EventId EventLog::push(TraceId trace, EventId parent, EventKind kind,
+                       std::uint32_t name, TimePoint at,
+                       const SpanLabels& labels, EventId cause) {
+  // Reserve the whole cap up front: appends never copy the log, and the
+  // pages past the last event are never touched.
+  if (events_.capacity() == 0) events_.reserve(capacity_);
   const EventId id = events_.size();
-  Event event;
-  event.id = id;
-  event.trace = trace;
-  event.parent = parent;
-  event.cause = cause;
-  event.kind = kind;
-  event.name = std::move(name);
-  event.at = at;
-  event.labels = labels;
-  events_.push_back(std::move(event));
+  events_.push_back(Event{id, trace, parent, cause, kind, name, at, labels});
   maybe_flight_dump(kind);
   return id;
 }
 
-EventId EventLog::extend(TraceContext& ctx, EventKind kind, std::string name,
-                         TimePoint at, SpanLabels labels, EventId cause) {
+EventId EventLog::append_raw(TraceId trace, EventId parent, EventKind kind,
+                             std::string_view name, TimePoint at,
+                             SpanLabels labels, EventId cause) {
+  CANARY_CHECK(!is_state_kind(kind), "state events take a state index");
+  if (at_capacity(kind)) return kNoEvent;
+  return push(trace, parent, kind, intern(name), at, labels, cause);
+}
+
+EventId EventLog::extend(TraceContext& ctx, EventKind kind,
+                         std::string_view name, TimePoint at,
+                         SpanLabels labels, EventId cause) {
   const EventId id =
-      append_raw(ctx.trace, ctx.last, kind, std::move(name), at, labels, cause);
+      append_raw(ctx.trace, ctx.last, kind, name, at, labels, cause);
   if (id != kNoEvent) ctx.last = id;
   return id;
 }
 
 EventId EventLog::append(const TraceContext& ctx, EventKind kind,
-                         std::string name, TimePoint at, SpanLabels labels,
-                         EventId cause) {
-  return append_raw(ctx.trace, ctx.last, kind, std::move(name), at, labels,
-                    cause);
+                         std::string_view name, TimePoint at,
+                         SpanLabels labels, EventId cause) {
+  return append_raw(ctx.trace, ctx.last, kind, name, at, labels, cause);
+}
+
+EventId EventLog::extend_state(TraceContext& ctx, EventKind kind,
+                               std::size_t state, TimePoint at,
+                               SpanLabels labels) {
+  const EventId id = append_state(ctx, kind, state, at, labels);
+  if (id != kNoEvent) ctx.last = id;
+  return id;
+}
+
+EventId EventLog::append_state(const TraceContext& ctx, EventKind kind,
+                               std::size_t state, TimePoint at,
+                               SpanLabels labels) {
+  CANARY_CHECK(is_state_kind(kind), "only state events take a state index");
+  if (at_capacity(kind)) return kNoEvent;
+  return push(ctx.trace, ctx.last, kind, static_cast<std::uint32_t>(state),
+              at, labels, kNoEvent);
+}
+
+std::string EventLog::name_of(const Event& event) const {
+  if (event.kind == EventKind::kStateCommit) {
+    return "state_" + std::to_string(event.name);
+  }
+  if (event.kind == EventKind::kCheckpoint) {
+    return "checkpoint_" + std::to_string(event.name);
+  }
+  return names_[event.name];
 }
 
 void EventLog::rebind(EventId event, TraceId trace, EventId parent) {
@@ -139,7 +180,7 @@ void EventLog::write_json(std::ostream& os, std::size_t begin) const {
     if (event.parent != kNoEvent) json.field("parent", event.parent);
     if (event.cause != kNoEvent) json.field("cause", event.cause);
     json.field("kind", to_string_view(event.kind));
-    json.field("name", event.name);
+    json.field("name", name_of(event));
     json.field("t_us", event.at.count_usec());
     if (event.labels.job.valid()) {
       json.field("job", event.labels.job.value());
@@ -162,6 +203,8 @@ void EventLog::write_json(std::ostream& os, std::size_t begin) const {
 
 void EventLog::clear() {
   events_.clear();
+  names_.clear();
+  name_ids_.clear();
   dropped_ = 0;
   dropped_by_kind_.fill(0);
   drop_warned_.fill(false);

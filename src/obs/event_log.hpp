@@ -13,7 +13,11 @@
 //
 // Like SpanRecorder, the log is one append-only vector with a capacity
 // cap: overflow is counted (truncated()), never reallocated past the cap,
-// and each run owns a private log so the record path takes no locks.
+// and each run owns a private log so the record path takes no locks. The
+// vector reserves its cap on the first append, so appending never copies
+// the log, and pages no event reached are never touched. Events are plain
+// data: a name is a number (a state index, or an index into the log's
+// table of interned names), rendered to text only by name_of() at export.
 //
 // Flight recorder: when configured with an output prefix, the log dumps
 // its most recent events to disk whenever a node failure or an SLA breach
@@ -24,8 +28,10 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -53,7 +59,7 @@ struct TraceContext {
   bool valid() const { return trace.valid(); }
 };
 
-enum class EventKind {
+enum class EventKind : std::uint32_t {
   kSubmit,          // invocation created at job submission
   kLaunch,          // cold container launch begins
   kInit,            // runtime initialisation begins
@@ -83,13 +89,21 @@ inline constexpr std::size_t kEventKindCount =
 
 std::string_view to_string_view(EventKind kind);
 
+/// Kinds whose name is the committed state's index, rendered as
+/// "state_<i>" (kStateCommit) or "checkpoint_<i>" (kCheckpoint).
+constexpr bool is_state_kind(EventKind kind) {
+  return kind == EventKind::kStateCommit || kind == EventKind::kCheckpoint;
+}
+
 struct Event {
   EventId id = kNoEvent;
   TraceId trace;
   EventId parent = kNoEvent;  // previous event of the same chain
   EventId cause = kNoEvent;   // cross-chain causal edge (flow arrow)
   EventKind kind = EventKind::kAnnotation;
-  std::string name;
+  /// The state index for state kinds, else an index into the owning
+  /// log's interned names. Render with EventLog::name_of.
+  std::uint32_t name = 0;
   TimePoint at;
   SpanLabels labels;
 };
@@ -98,27 +112,46 @@ class EventLog {
  public:
   explicit EventLog(std::size_t capacity = 1u << 20)
       : capacity_(capacity) {}
+  // The intern index holds views into the name table: a copy would point
+  // into the original's strings. A move keeps them where they are.
+  EventLog(const EventLog&) = delete;
+  EventLog& operator=(const EventLog&) = delete;
+  EventLog(EventLog&&) = default;
+  EventLog& operator=(EventLog&&) = default;
 
   TraceId new_trace() { return TraceId{next_trace_++}; }
 
   /// Append an event chained onto `ctx` (parent = ctx.last) and advance
   /// the context. Returns kNoEvent once the capacity cap is reached (the
-  /// drop is counted and the context is left unchanged).
-  EventId extend(TraceContext& ctx, EventKind kind, std::string name,
+  /// drop is counted, the name is not interned and the context is left
+  /// unchanged). `kind` must not be a state kind.
+  EventId extend(TraceContext& ctx, EventKind kind, std::string_view name,
                  TimePoint at, SpanLabels labels = {},
                  EventId cause = kNoEvent);
 
   /// Append a leaf event hanging off `ctx` without advancing it — side
   /// branches such as checkpoint writes recorded by the Canary modules.
-  EventId append(const TraceContext& ctx, EventKind kind, std::string name,
-                 TimePoint at, SpanLabels labels = {},
+  EventId append(const TraceContext& ctx, EventKind kind,
+                 std::string_view name, TimePoint at, SpanLabels labels = {},
                  EventId cause = kNoEvent);
 
   /// Append an event with explicit edges (ambient events pass
   /// TraceId::invalid() and kNoEvent).
   EventId append_raw(TraceId trace, EventId parent, EventKind kind,
-                     std::string name, TimePoint at, SpanLabels labels = {},
-                     EventId cause = kNoEvent);
+                     std::string_view name, TimePoint at,
+                     SpanLabels labels = {}, EventId cause = kNoEvent);
+
+  /// extend()/append() for a state kind: the event is named by the index
+  /// of the state it commits or checkpoints.
+  EventId extend_state(TraceContext& ctx, EventKind kind, std::size_t state,
+                       TimePoint at, SpanLabels labels = {});
+  EventId append_state(const TraceContext& ctx, EventKind kind,
+                       std::size_t state, TimePoint at,
+                       SpanLabels labels = {});
+
+  /// The event's name as text: "state_<i>" / "checkpoint_<i>" for the
+  /// state kinds, otherwise the interned name it was appended with.
+  std::string name_of(const Event& event) const;
 
   /// Re-home an existing event onto another trace under a new parent.
   /// Request replication merges each shadow's submit event into the
@@ -130,6 +163,8 @@ class EventLog {
     return id < events_.size() ? &events_[id] : nullptr;
   }
   std::size_t size() const { return events_.size(); }
+  /// Distinct names in the intern table (state kinds add none).
+  std::size_t interned_names() const { return names_.size(); }
   std::size_t dropped() const { return dropped_; }
   /// Drops attributed to one EventKind: which part of the causal record
   /// is incomplete, not just that something is. A chain missing kDetect
@@ -160,6 +195,12 @@ class EventLog {
   void clear();
 
  private:
+  EventId push(TraceId trace, EventId parent, EventKind kind,
+               std::uint32_t name, TimePoint at, const SpanLabels& labels,
+               EventId cause);
+  /// Count a drop when the log is full; true if the event must be dropped.
+  bool at_capacity(EventKind kind);
+  std::uint32_t intern(std::string_view name);
   void maybe_flight_dump(EventKind kind);
 
   std::size_t capacity_;
@@ -168,6 +209,10 @@ class EventLog {
   std::array<bool, kEventKindCount> drop_warned_{};
   std::uint64_t next_trace_ = 1;
   std::vector<Event> events_;
+  /// Interned names: a deque keeps each string (and the views keyed on
+  /// it) at a stable address as the table grows.
+  std::deque<std::string> names_;
+  std::unordered_map<std::string_view, std::uint32_t> name_ids_;
 
   std::string flight_prefix_;
   std::size_t flight_max_dumps_ = 0;

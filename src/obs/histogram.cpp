@@ -48,7 +48,7 @@ double Histogram::bucket_mid(std::size_t index) {
   return lo + width / 2.0;
 }
 
-void Histogram::record(double value) {
+std::size_t Histogram::add(double value) {
   if (count_ == 0) {
     min_ = value;
     max_ = value;
@@ -64,28 +64,23 @@ void Histogram::record(double value) {
   const std::size_t index = bucket_index(ticks);
   if (index >= buckets_.size()) buckets_.resize(index + 1, 0);
   ++buckets_[index];
+  if (exemplar_config_.enabled && index < floor_bucket_) ++below_floor_;
+  return index;
 }
+
+void Histogram::record(double value) { add(value); }
 
 void Histogram::record_traced(double value, std::uint64_t trace,
                               std::uint64_t ref) {
-  record(value);
+  const std::size_t index = add(value);
   if (!exemplar_config_.enabled) return;
-
-  const double clamped = std::max(value, 0.0);
-  const auto ticks = static_cast<std::uint64_t>(std::llround(clamped * 1e6));
-  const std::size_t index = bucket_index(ticks);
   if (exemplars_.size() < buckets_.size()) exemplars_.resize(buckets_.size());
 
   // Retention floor on the live distribution: the bucket holding the
   // min_quantile sample. Buckets below it never retain and are pruned,
   // so memory tracks only the tail the analyzer will ever ask about.
-  const double q = std::clamp(exemplar_config_.min_quantile, 0.0, 1.0);
-  const auto rank = std::min<std::uint64_t>(
-      count_, std::max<std::uint64_t>(
-                  1, static_cast<std::uint64_t>(std::ceil(
-                         q * static_cast<double>(count_) - 1e-9))));
-  const std::size_t floor_bucket = bucket_of_rank(rank);
-  if (index >= floor_bucket) {
+  advance_floor();
+  if (index >= floor_bucket_) {
     reservoir_insert(index, Exemplar{value, trace, ref});
   }
   prune_exemplars();
@@ -96,7 +91,39 @@ void Histogram::enable_exemplars(const ExemplarConfig& config) {
   if (!config.enabled) {
     exemplars_.clear();
     exemplars_.shrink_to_fit();
+    return;
   }
+  recompute_floor();
+  pruned_below_ = 0;
+}
+
+std::uint64_t Histogram::floor_rank() const {
+  const double q = std::clamp(exemplar_config_.min_quantile, 0.0, 1.0);
+  return std::min<std::uint64_t>(
+      count_, std::max<std::uint64_t>(
+                  1, static_cast<std::uint64_t>(std::ceil(
+                         q * static_cast<double>(count_) - 1e-9))));
+}
+
+void Histogram::advance_floor() {
+  // Invariant after the walk: below_floor_ < rank <= below_floor_ +
+  // buckets_[floor_bucket_], i.e. the first bucket whose cumulative
+  // count reaches the rank. Each step passes one bucket.
+  const std::uint64_t rank = floor_rank();
+  while (below_floor_ >= rank) {
+    --floor_bucket_;
+    below_floor_ -= buckets_[floor_bucket_];
+  }
+  while (below_floor_ + buckets_[floor_bucket_] < rank) {
+    below_floor_ += buckets_[floor_bucket_];
+    ++floor_bucket_;
+  }
+}
+
+void Histogram::recompute_floor() {
+  floor_bucket_ = 0;
+  below_floor_ = 0;
+  if (count_ > 0) advance_floor();
 }
 
 void Histogram::reservoir_insert(std::size_t bucket,
@@ -119,20 +146,16 @@ void Histogram::reservoir_insert(std::size_t bucket,
 }
 
 void Histogram::prune_exemplars() {
-  if (count_ == 0 || exemplars_.empty()) return;
-  const double q = std::clamp(exemplar_config_.min_quantile, 0.0, 1.0);
-  const auto rank = std::min<std::uint64_t>(
-      count_, std::max<std::uint64_t>(
-                  1, static_cast<std::uint64_t>(std::ceil(
-                         q * static_cast<double>(count_) - 1e-9))));
-  const std::size_t floor_bucket = bucket_of_rank(rank);
-  const std::size_t limit = std::min(floor_bucket, exemplars_.size());
-  for (std::size_t i = 0; i < limit; ++i) {
+  // [0, pruned_below_) is already clear; a floor that moved down lowers
+  // the mark, because the buckets it uncovered may retain again.
+  const std::size_t limit = std::min(floor_bucket_, exemplars_.size());
+  for (std::size_t i = pruned_below_; i < limit; ++i) {
     if (!exemplars_[i].entries.empty()) {
       exemplars_[i].entries.clear();
       exemplars_[i].seen = 0;  // re-entering the tail restarts the stream
     }
   }
+  pruned_below_ = floor_bucket_;
 }
 
 std::vector<Exemplar> Histogram::exemplars_above(double min_value) const {
@@ -173,6 +196,7 @@ void Histogram::merge(const Histogram& other) {
   if (!exemplar_config_.enabled && other.exemplar_config_.enabled) {
     exemplar_config_ = other.exemplar_config_;
   }
+  if (exemplar_config_.enabled) recompute_floor();
   if (!other.exemplars_.empty()) {
     if (exemplars_.size() < other.exemplars_.size()) {
       exemplars_.resize(other.exemplars_.size());
@@ -191,6 +215,7 @@ void Histogram::merge(const Histogram& other) {
         ours.entries.resize(exemplar_config_.per_bucket);
       }
     }
+    pruned_below_ = 0;  // merged reservoirs may sit anywhere
     prune_exemplars();
   }
 }

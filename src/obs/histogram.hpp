@@ -15,7 +15,11 @@
 // becomes "these invocations are the p99.9". A bucket only retains
 // exemplars while it sits at or above the configured quantile of the live
 // distribution, which keeps retention focused on the tail without
-// knowing the final shape in advance. Everything stays deterministic:
+// knowing the final shape in advance. That retention floor is tracked
+// incrementally (the floor bucket plus the sample count below it), so a
+// traced sample moves the floor by the buckets it passes and clears only
+// those; a merge or enable_exemplars recomputes it from scratch.
+// Everything stays deterministic:
 // the reservoir is seeded, replacement depends only on the insertion
 // order (which the simulator fixes), and merging keeps the K
 // largest-valued exemplars per bucket.
@@ -111,13 +115,20 @@ class Histogram {
 
   /// Index of the bucket holding the rank-`rank` sample (1-based).
   std::size_t bucket_of_rank(std::uint64_t rank) const;
+  /// Count the sample in its bucket; returns the bucket index.
+  std::size_t add(double value);
 
   struct BucketExemplars {
     std::uint64_t seen = 0;  // reservoir stream length for this bucket
     std::vector<Exemplar> entries;
   };
   void reservoir_insert(std::size_t bucket, const Exemplar& exemplar);
-  /// Drop reservoirs from buckets that fell below the retention quantile.
+  /// Rank of the min_quantile sample in the live distribution.
+  std::uint64_t floor_rank() const;
+  /// Move floor_bucket_ to the bucket holding floor_rank().
+  void advance_floor();
+  void recompute_floor();
+  /// Drop reservoirs from buckets that fell below the retention floor.
   void prune_exemplars();
 
   std::vector<std::uint64_t> buckets_;
@@ -128,6 +139,12 @@ class Histogram {
 
   ExemplarConfig exemplar_config_;
   std::vector<BucketExemplars> exemplars_;  // parallel to buckets_ when enabled
+  // Retention floor, maintained while exemplars are enabled: the bucket
+  // holding the min_quantile sample and the sample count below it.
+  std::size_t floor_bucket_ = 0;
+  std::uint64_t below_floor_ = 0;
+  /// No bucket below this index holds an exemplar.
+  std::size_t pruned_below_ = 0;
 };
 
 }  // namespace canary::obs

@@ -136,7 +136,7 @@ void HedgeHandler::on_failure(const faas::Invocation& inv,
   // Primary (or plain unhedged) failure: retry like the platform default,
   // optionally after a backoff. An open race keeps racing meanwhile.
   if (config_.max_retries > 0 && inv.failures > config_.max_retries) {
-    ++giveups_;
+    platform_.metrics().count("hedge_giveups");
     CANARY_LOG_WARN("hedge: giving up on function " << inv.id.value()
                                                     << " after " << inv.failures
                                                     << " failures");

@@ -86,7 +86,6 @@ class HedgeHandler final : public faas::RecoveryHandler,
   /// Current clone-dispatch delay (percentile-derived once warmed up).
   Duration current_delay() const;
   std::size_t open_races() const { return races_.size(); }
-  int giveups() const { return giveups_; }
 
   // RecoveryHandler
   void on_failure(const faas::Invocation& inv,
@@ -114,7 +113,6 @@ class HedgeHandler final : public faas::RecoveryHandler,
   std::unordered_map<FunctionId, FunctionId> races_;
   std::unordered_map<FunctionId, FunctionId> clone_index_;
   std::size_t outstanding_ = 0;
-  int giveups_ = 0;
   /// Reentrancy guard: cancel_hedge completes the loser synchronously,
   /// which re-enters on_function_completed.
   bool discarding_ = false;

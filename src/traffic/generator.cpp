@@ -14,8 +14,6 @@ void StreamStats::merge(const StreamStats& other) {
   completed += other.completed;
   failed += other.failed;
   queue_peak = std::max(queue_peak, other.queue_peak);
-  latency.merge(other.latency);
-  queue_wait.merge(other.queue_wait);
 }
 
 TrafficGenerator::TrafficGenerator(sim::Simulator& sim,
@@ -131,10 +129,7 @@ void TrafficGenerator::on_job_submitted(JobId job) {
   const PendingArrival arrival = it->second;
   pending_.erase(it);
   bound_[job.value()] = BoundArrival{arrival.stream, arrival.arrived};
-  Stream& stream = streams_[arrival.stream];
-  const Duration wait = sim_.now() - arrival.arrived;
-  stream.stats.queue_wait.record(wait.to_seconds());
-  m_queue_wait_.record_duration(wait);
+  m_queue_wait_.record_duration(sim_.now() - arrival.arrived);
 }
 
 void TrafficGenerator::on_job_completed(JobId job) {
@@ -146,7 +141,6 @@ void TrafficGenerator::on_job_completed(JobId job) {
   ++stream.stats.completed;
   m_completed_.add();
   const Duration latency = sim_.now() - bound.arrived;
-  stream.stats.latency.record(latency.to_seconds());
   m_latency_.record_duration(latency);
   if (auto* series = platform_.time_series()) {
     series->count("traffic_completed", sim_.now());

@@ -100,8 +100,6 @@ struct StreamStats {
   std::uint64_t completed = 0;
   std::uint64_t failed = 0;
   std::uint64_t queue_peak = 0;
-  obs::Histogram latency;     // arrival -> completion
-  obs::Histogram queue_wait;  // arrival -> platform submission
 
   void merge(const StreamStats& other);
 };
@@ -131,7 +129,9 @@ class TrafficGenerator final : public faas::PlatformObserver {
   const AdmissionController& admission() const { return admission_; }
 
   const StreamStats& stream_stats(std::size_t stream) const;
-  /// All streams merged (histograms merge exactly).
+  /// All streams' counts summed, and the largest queue peak. Latency and
+  /// queue wait live in the registry's traffic_latency and
+  /// traffic_queue_wait histograms.
   StreamStats totals() const;
   std::uint64_t in_flight() const { return admission_.total_in_flight(); }
 

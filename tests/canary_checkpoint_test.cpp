@@ -78,8 +78,8 @@ TEST_F(CheckpointingTest, SmallPayloadWritesToKv) {
   EXPECT_TRUE(store_.contains(CheckpointingModule::kv_key(inv.id, 0)));
   const auto rows = metadata_.checkpoints_of(inv.id);
   ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows.front()->location, cluster::StorageTier::kKvStore);
-  EXPECT_TRUE(rows.front()->flushed_to_shared);
+  EXPECT_EQ(rows.front().location, cluster::StorageTier::kKvStore);
+  EXPECT_TRUE(rows.front().flushed_to_shared);
 }
 
 TEST_F(CheckpointingTest, OversizedPayloadSpills) {
@@ -95,9 +95,9 @@ TEST_F(CheckpointingTest, OversizedPayloadSpills) {
   module.on_state_committed(inv, 0);
   const auto rows = metadata_.checkpoints_of(inv.id);
   ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows.front()->location, cluster::StorageTier::kRamdisk);
-  EXPECT_FALSE(rows.front()->flushed_to_shared);  // async flush pending
-  EXPECT_EQ(rows.front()->stored_on, NodeId{1});
+  EXPECT_EQ(rows.front().location, cluster::StorageTier::kRamdisk);
+  EXPECT_FALSE(rows.front().flushed_to_shared);  // async flush pending
+  EXPECT_EQ(rows.front().stored_on, NodeId{1});
   EXPECT_EQ(metrics_.counter("checkpoint_spills"), 1.0);
   // The KV store holds only the location record.
   const auto entry = store_.get(CheckpointingModule::kv_key(inv.id, 0));
@@ -106,7 +106,7 @@ TEST_F(CheckpointingTest, OversizedPayloadSpills) {
 
   // After the async flush completes the spilled checkpoint is shared.
   sim_.run();
-  EXPECT_TRUE(metadata_.checkpoints_of(inv.id).front()->flushed_to_shared);
+  EXPECT_TRUE(metadata_.checkpoints_of(inv.id).front().flushed_to_shared);
 }
 
 TEST_F(CheckpointingTest, ZeroPayloadStillRecordsState) {
@@ -127,8 +127,8 @@ TEST_F(CheckpointingTest, RetentionKeepsLatestN) {
   for (std::size_t i = 0; i < 6; ++i) module.on_state_committed(inv, i);
   const auto rows = metadata_.checkpoints_of(inv.id);
   ASSERT_EQ(rows.size(), 3u);
-  EXPECT_EQ(rows.front()->state_index, 3u);
-  EXPECT_EQ(rows.back()->state_index, 5u);
+  EXPECT_EQ(rows.front().state_index, 3u);
+  EXPECT_EQ(rows.back().state_index, 5u);
   // Evicted KV keys are gone, retained ones remain.
   EXPECT_FALSE(store_.contains(CheckpointingModule::kv_key(inv.id, 0)));
   EXPECT_TRUE(store_.contains(CheckpointingModule::kv_key(inv.id, 5)));
@@ -147,9 +147,9 @@ TEST_F(CheckpointingTest, CommitsKeepEachFunctionsOwnRetention) {
   }
   EXPECT_EQ(metadata_.checkpoint_count(fast_inv.id), 5u);
   EXPECT_EQ(metadata_.checkpoint_retention(fast_inv.id), 5u);
-  EXPECT_EQ(metadata_.checkpoints_of(fast_inv.id).front()->state_index, 3u);
+  EXPECT_EQ(metadata_.checkpoints_of(fast_inv.id).front().state_index, 3u);
   EXPECT_EQ(metadata_.checkpoint_count(slow_inv.id), 3u);
-  EXPECT_EQ(metadata_.checkpoints_of(slow_inv.id).front()->state_index, 5u);
+  EXPECT_EQ(metadata_.checkpoints_of(slow_inv.id).front().state_index, 5u);
 }
 
 TEST_F(CheckpointingTest, DynamicRetentionAdapts) {
@@ -177,7 +177,7 @@ TEST_F(CheckpointingTest, ExplicitModeShrinksPayload) {
   const auto inv = invocation_for(spec);
   // 8 MiB * 0.25 = 2 MiB: fits the KV limit, no spill.
   module.on_state_committed(inv, 0);
-  EXPECT_EQ(metadata_.checkpoints_of(inv.id).front()->location,
+  EXPECT_EQ(metadata_.checkpoints_of(inv.id).front().location,
             cluster::StorageTier::kKvStore);
   EXPECT_EQ(metrics_.counter("checkpoint_spills"), 0.0);
 }
@@ -215,9 +215,9 @@ TEST_F(CheckpointingTest, RestoredRecommitKeepsStateOrderAndTrimsOldest) {
   module.on_state_committed(inv, 0);
   std::vector<std::size_t> states;
   std::vector<CheckpointId> ids;
-  for (const auto* row : metadata_.checkpoints_of(inv.id)) {
-    states.push_back(row->state_index);
-    ids.push_back(row->checkpoint);
+  for (const auto& row : metadata_.checkpoints_of(inv.id)) {
+    states.push_back(row.state_index);
+    ids.push_back(row.checkpoint);
   }
   // State 0 was the oldest by state index, so the trim dropped it again
   // (with its KV entry); state 2's recommit replaced its row in place.
@@ -228,6 +228,50 @@ TEST_F(CheckpointingTest, RestoredRecommitKeepsStateOrderAndTrimsOldest) {
   EXPECT_FALSE(store_.contains(CheckpointingModule::kv_key(inv.id, 0)));
   EXPECT_TRUE(store_.contains(CheckpointingModule::kv_key(inv.id, 2)));
   EXPECT_EQ(metrics_.counter("checkpoints_written"), 6.0);
+}
+
+TEST_F(CheckpointingTest, FlushOfAnEvictedRowIsANoOp) {
+  auto module = make_module();
+  // 98 MiB spills past the KV limit: retention drops to min_retention (2)
+  // and every row waits on an async flush.
+  const auto spec = spec_with_payload(Bytes::mib(98), /*states=*/4);
+  const auto inv = invocation_for(spec);
+  module.on_state_committed(inv, 0);
+  const CheckpointId evicted =
+      metadata_.checkpoints_of(inv.id).front().checkpoint;
+  module.on_state_committed(inv, 1);
+  module.on_state_committed(inv, 2);  // evicts state 0 before its flush
+  EXPECT_EQ(metadata_.mutable_checkpoint(inv.id, evicted), nullptr);
+
+  sim_.run();  // state 0's flush finds no row; the others flush
+  const auto& rows = metadata_.checkpoints_of(inv.id);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].state_index, 1u);
+  EXPECT_EQ(rows[1].state_index, 2u);
+  for (const auto& row : rows) EXPECT_TRUE(row.flushed_to_shared);
+  EXPECT_EQ(metadata_.mutable_checkpoint(inv.id, evicted), nullptr);
+}
+
+TEST_F(CheckpointingTest, RecommitReplacesTheRowInPlace) {
+  auto module = make_module();
+  const auto spec = spec_with_payload(Bytes::mib(98), /*states=*/4);
+  const auto inv = invocation_for(spec);
+  module.on_state_committed(inv, 0);
+  module.on_state_committed(inv, 1);
+  const CheckpointInfoRow* slot = &metadata_.checkpoints_of(inv.id)[1];
+  const CheckpointId first = slot->checkpoint;
+
+  module.on_state_committed(inv, 1);  // re-executed before the flush
+  const auto& rows = metadata_.checkpoints_of(inv.id);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(&rows[1], slot);  // same storage, new row
+  EXPECT_NE(rows[1].checkpoint, first);
+  EXPECT_EQ(rows[1].state_index, 1u);
+  EXPECT_EQ(metadata_.mutable_checkpoint(inv.id, first), nullptr);
+
+  // The replaced row's flush is a no-op; the recommit's own flush lands.
+  sim_.run();
+  EXPECT_TRUE(rows[1].flushed_to_shared);
 }
 
 TEST_F(CheckpointingTest, UnflushedLocalCheckpointDiesWithNode) {

@@ -73,8 +73,8 @@ TEST(MetadataCheckpointTest, OrderedByStateIndex) {
   }
   const auto rows = db.checkpoints_of(FunctionId{7});
   ASSERT_EQ(rows.size(), 3u);
-  EXPECT_EQ(rows.front()->state_index, 0u);
-  EXPECT_EQ(rows.back()->state_index, 2u);
+  EXPECT_EQ(rows.front().state_index, 0u);
+  EXPECT_EQ(rows.back().state_index, 2u);
   EXPECT_EQ(db.checkpoint_count(FunctionId{7}), 3u);
 }
 
@@ -87,13 +87,15 @@ TEST(MetadataCheckpointTest, RemoveSingleAndAll) {
     row.state_index = i;
     db.insert_checkpoint(row);
   }
-  db.remove_checkpoint(CheckpointId{2});
+  db.remove_checkpoint(FunctionId{7}, CheckpointId{2});
   EXPECT_EQ(db.checkpoint_count(FunctionId{7}), 2u);
-  EXPECT_EQ(db.mutable_checkpoint(CheckpointId{2}), nullptr);
+  EXPECT_EQ(db.mutable_checkpoint(FunctionId{7}, CheckpointId{2}), nullptr);
   db.remove_checkpoints_of(FunctionId{7});
   EXPECT_EQ(db.checkpoint_count(FunctionId{7}), 0u);
   EXPECT_TRUE(db.checkpoints_of(FunctionId{7}).empty());
-  db.remove_checkpoint(CheckpointId{99});  // unknown id is a no-op
+  // Unknown ids and functions are no-ops.
+  db.remove_checkpoint(FunctionId{7}, CheckpointId{99});
+  db.remove_checkpoint(FunctionId{8}, CheckpointId{1});
 }
 
 TEST(MetadataCheckpointTest, RecommitAfterRestoreKeepsStateOrderAndTrims) {
@@ -112,15 +114,15 @@ TEST(MetadataCheckpointTest, RecommitAfterRestoreKeepsStateOrderAndTrims) {
   };
   auto states = [&] {
     std::vector<std::size_t> out;
-    for (const auto* row : db.checkpoints_of(fn)) {
-      out.push_back(row->state_index);
+    for (const auto& row : db.checkpoints_of(fn)) {
+      out.push_back(row.state_index);
     }
     return out;
   };
   auto ids = [&] {
     std::vector<CheckpointId> out;
-    for (const auto* row : db.checkpoints_of(fn)) {
-      out.push_back(row->checkpoint);
+    for (const auto& row : db.checkpoints_of(fn)) {
+      out.push_back(row.checkpoint);
     }
     return out;
   };
@@ -132,7 +134,7 @@ TEST(MetadataCheckpointTest, RecommitAfterRestoreKeepsStateOrderAndTrims) {
   EXPECT_EQ(states(), (std::vector<std::size_t>{2, 3, 4}));
   EXPECT_EQ(ids(), (std::vector<CheckpointId>{CheckpointId{1}, CheckpointId{4},
                                               CheckpointId{3}}));
-  EXPECT_EQ(db.mutable_checkpoint(CheckpointId{2}), nullptr);
+  EXPECT_EQ(db.mutable_checkpoint(fn, CheckpointId{2}), nullptr);
   EXPECT_TRUE(evicted.empty());
 
   // Recommitting an earlier state lands at its state position.
@@ -142,7 +144,7 @@ TEST(MetadataCheckpointTest, RecommitAfterRestoreKeepsStateOrderAndTrims) {
   commit(0, 4);
   EXPECT_EQ(evicted, (std::vector<std::size_t>{0}));
   EXPECT_EQ(states(), (std::vector<std::size_t>{1, 2, 3, 4}));
-  EXPECT_EQ(db.mutable_checkpoint(CheckpointId{6}), nullptr);
+  EXPECT_EQ(db.mutable_checkpoint(fn, CheckpointId{6}), nullptr);
   commit(5, 3);
   EXPECT_EQ(evicted, (std::vector<std::size_t>{0, 1, 2}));
   EXPECT_EQ(states(), (std::vector<std::size_t>{3, 4, 5}));
@@ -161,7 +163,7 @@ TEST(MetadataCheckpointTest, RetentionIsFreedWithTheFunctionsRows) {
   row.function = fn;
   db.insert_checkpoint(row);
   EXPECT_EQ(db.checkpoint_retention(fn), 4u);
-  db.remove_checkpoint(CheckpointId{1});
+  db.remove_checkpoint(fn, CheckpointId{1});
   EXPECT_EQ(db.checkpoint_retention(fn), 4u);  // still the same function
   db.remove_checkpoints_of(fn);
   EXPECT_EQ(db.checkpoint_retention(fn), 0u);

@@ -392,7 +392,7 @@ TEST_F(PlatformTest, RetryBudgetGivesUp) {
   const JobId job = submit_one(p, simple_function());
   sim_.run();
   EXPECT_FALSE(p.job_completed(job));
-  EXPECT_EQ(retry_->giveups(), 1);
+  EXPECT_EQ(metrics_.counter("retry_giveups"), 1.0);
 }
 
 TEST_F(PlatformTest, MultiFailureRecoveryAccumulates) {

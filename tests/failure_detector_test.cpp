@@ -36,7 +36,7 @@ double max_node_detection_latency(const RunResult& result) {
   std::unordered_map<std::uint64_t, TimePoint> open;
   for (const obs::Event& event : result.events->events()) {
     if (event.kind == obs::EventKind::kFailure &&
-        event.name == "node_failure") {
+        result.events->name_of(event) == "node_failure") {
       open[event.trace.value()] = event.at;
     } else if (event.kind == obs::EventKind::kDetect) {
       auto it = open.find(event.trace.value());
@@ -192,7 +192,7 @@ TEST(FailureDetectorScenarioTest, AsymmetricPartitionConfirmsWithinBound) {
   double fence_at = -1.0;
   for (const obs::Event& event : result.events->events()) {
     if (event.kind == obs::EventKind::kAnnotation &&
-        event.name == "node_fenced") {
+        result.events->name_of(event) == "node_fenced") {
       fence_at = event.at.to_seconds();
       break;
     }

@@ -203,6 +203,26 @@ TEST_F(HedgeTest, HedgeFiredDuringRetryBackoffWindow) {
   EXPECT_EQ(primary.attempt, 1);
 }
 
+// A primary past its retry budget is abandoned; the give-up lands in the
+// run's registry, and only once one happens.
+TEST_F(HedgeTest, GiveUpIsCountedInTheRegistry) {
+  HedgeConfig config;
+  config.initial_delay = Duration::sec(100.0);  // no clone in the window
+  config.max_retries = 1;
+  install(config);
+
+  const JobId job = submit_probe();
+  const FunctionId primary = platform_->job_functions(job)[0];
+  kills_.kill(primary, 1, Duration::msec(200));
+  kills_.kill(primary, 2, Duration::msec(200));
+  sim_.run_until(TimePoint::origin() + Duration::sec(50.0));
+
+  EXPECT_EQ(metrics_.counter("hedge_retries"), 1.0);
+  EXPECT_EQ(metrics_.counter("hedge_giveups"), 1.0);
+  EXPECT_EQ(metrics_.counters().count("retry_giveups"), 0u);
+  EXPECT_FALSE(platform_->job_completed(job));
+}
+
 // ---- budget gates --------------------------------------------------------
 
 TEST_F(HedgeTest, ExhaustedGlobalBudgetDeniesClone) {

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <random>
 #include <sstream>
 #include <string>
@@ -314,6 +316,210 @@ TEST(HistogramExemplarTest, MergeKeepsLargestPerBucketAndStaysBounded) {
   c.merge(a);
   EXPECT_TRUE(c.exemplars_enabled());
   EXPECT_EQ(c.exemplars_above(0.0).size(), retained.size());
+}
+
+/// The exemplar retention rule as first written: after every traced
+/// sample, find the floor bucket by a cumulative scan from bucket 0 and
+/// clear every reservoir below it. Bucketing and reservoir draws repeat
+/// Histogram's, so the retained exemplars must match it exactly.
+class BruteForceExemplars {
+ public:
+  explicit BruteForceExemplars(const obs::ExemplarConfig& config)
+      : config_(config) {}
+
+  void record(double value) {
+    const std::size_t index = bucket_of(value);
+    if (index >= buckets_.size()) buckets_.resize(index + 1, 0);
+    ++buckets_[index];
+    ++count_;
+  }
+
+  void record_traced(double value, std::uint64_t trace, std::uint64_t ref) {
+    record(value);
+    const std::size_t index = bucket_of(value);
+    if (slots_.size() < buckets_.size()) slots_.resize(buckets_.size());
+    if (index >= floor_bucket()) {
+      insert(index, obs::Exemplar{value, trace, ref});
+    }
+    prune();
+  }
+
+  void merge(const BruteForceExemplars& other) {
+    if (other.count_ == 0) return;
+    count_ += other.count_;
+    if (other.buckets_.size() > buckets_.size()) {
+      buckets_.resize(other.buckets_.size(), 0);
+    }
+    for (std::size_t i = 0; i < other.buckets_.size(); ++i) {
+      buckets_[i] += other.buckets_[i];
+    }
+    if (other.slots_.empty()) return;
+    if (slots_.size() < other.slots_.size()) slots_.resize(other.slots_.size());
+    for (std::size_t i = 0; i < other.slots_.size(); ++i) {
+      Slot& ours = slots_[i];
+      ours.seen += other.slots_[i].seen;
+      ours.entries.insert(ours.entries.end(), other.slots_[i].entries.begin(),
+                          other.slots_[i].entries.end());
+      if (ours.entries.size() > config_.per_bucket) {
+        std::sort(ours.entries.begin(), ours.entries.end(), before);
+        ours.entries.resize(config_.per_bucket);
+      }
+    }
+    prune();
+  }
+
+  std::vector<obs::Exemplar> retained() const {
+    std::vector<obs::Exemplar> out;
+    for (const Slot& slot : slots_) {
+      out.insert(out.end(), slot.entries.begin(), slot.entries.end());
+    }
+    std::sort(out.begin(), out.end(), before);
+    return out;
+  }
+
+ private:
+  struct Slot {
+    std::uint64_t seen = 0;
+    std::vector<obs::Exemplar> entries;
+  };
+
+  static bool before(const obs::Exemplar& a, const obs::Exemplar& b) {
+    if (a.value != b.value) return a.value > b.value;
+    if (a.trace != b.trace) return a.trace < b.trace;
+    return a.ref < b.ref;
+  }
+
+  static std::uint64_t mix64(std::uint64_t x) {
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+  }
+
+  // Log-linear grid: 64 exact buckets, then 32 per octave.
+  static std::size_t bucket_of(double value) {
+    const auto ticks =
+        static_cast<std::uint64_t>(std::llround(std::max(value, 0.0) * 1e6));
+    if (ticks < 64) return static_cast<std::size_t>(ticks);
+    int msb = 63;
+    while ((ticks >> msb) == 0) --msb;
+    const int shift = msb - 5;
+    return 64 + static_cast<std::size_t>(shift - 1) * 32 +
+           static_cast<std::size_t>((ticks >> shift) - 32);
+  }
+
+  std::size_t floor_bucket() const {
+    const double q = std::clamp(config_.min_quantile, 0.0, 1.0);
+    const auto rank = std::min<std::uint64_t>(
+        count_, std::max<std::uint64_t>(
+                    1, static_cast<std::uint64_t>(std::ceil(
+                           q * static_cast<double>(count_) - 1e-9))));
+    std::uint64_t cumulative = 0;
+    for (std::size_t i = 0; i < buckets_.size(); ++i) {
+      cumulative += buckets_[i];
+      if (cumulative >= rank && buckets_[i] > 0) return i;
+    }
+    return buckets_.empty() ? 0 : buckets_.size() - 1;
+  }
+
+  void insert(std::size_t bucket, const obs::Exemplar& exemplar) {
+    Slot& slot = slots_[bucket];
+    ++slot.seen;
+    if (slot.entries.size() < config_.per_bucket) {
+      slot.entries.push_back(exemplar);
+      return;
+    }
+    const std::uint64_t draw =
+        mix64(config_.seed ^ mix64(bucket * 0x100000001b3ull) ^ slot.seen) %
+        slot.seen;
+    if (draw < slot.entries.size()) {
+      slot.entries[static_cast<std::size_t>(draw)] = exemplar;
+    }
+  }
+
+  void prune() {
+    if (count_ == 0) return;
+    const std::size_t limit = std::min(floor_bucket(), slots_.size());
+    for (std::size_t i = 0; i < limit; ++i) {
+      if (!slots_[i].entries.empty()) {
+        slots_[i].entries.clear();
+        slots_[i].seen = 0;
+      }
+    }
+  }
+
+  obs::ExemplarConfig config_;
+  std::vector<std::uint64_t> buckets_;
+  std::uint64_t count_ = 0;
+  std::vector<Slot> slots_;
+};
+
+TEST(HistogramExemplarTest, IncrementalFloorMatchesBruteForceRule) {
+  // Randomized streams mix plain and traced samples, shift the
+  // distribution up and back down (so the floor moves both ways), enable
+  // exemplars on a populated histogram, and merge side histograms in.
+  std::mt19937_64 rng(20221114);
+  const double quantiles[] = {0.0, 0.25, 0.5, 0.9, 0.99, 1.0};
+  for (int stream = 0; stream < 200; ++stream) {
+    obs::ExemplarConfig config;
+    config.enabled = true;
+    config.per_bucket = 1 + rng() % 4;
+    config.min_quantile = quantiles[rng() % std::size(quantiles)];
+    config.seed = rng();
+    Histogram h;
+    BruteForceExemplars ref(config);
+    std::uint64_t trace = 1;
+
+    auto sample = [&](double centre) {
+      std::lognormal_distribution<double> dist(std::log(centre), 0.8);
+      return dist(rng);
+    };
+    auto feed = [&](Histogram& hist, BruteForceExemplars& model, double v) {
+      if (rng() % 3 == 0) {
+        hist.record(v);
+        model.record(v);
+      } else {
+        hist.record_traced(v, trace, trace + 7);
+        model.record_traced(v, trace, trace + 7);
+        ++trace;
+      }
+    };
+
+    // Some streams start populated, before exemplars are enabled.
+    const int untraced_prefix = static_cast<int>(rng() % 3) * 20;
+    for (int i = 0; i < untraced_prefix; ++i) {
+      const double v = sample(0.5);
+      h.record(v);
+      ref.record(v);
+    }
+    h.enable_exemplars(config);
+
+    const double centres[] = {0.05, 2.0, 40.0, 0.2, 5.0};
+    for (int step = 0; step < 250; ++step) {
+      const double centre = centres[(step / 50) % std::size(centres)];
+      if (rng() % 50 == 0) {
+        Histogram side;
+        side.enable_exemplars(config);
+        BruteForceExemplars side_ref(config);
+        const int n = static_cast<int>(rng() % 40);
+        for (int i = 0; i < n; ++i) feed(side, side_ref, sample(centre * 3));
+        h.merge(side);
+        ref.merge(side_ref);
+      } else {
+        feed(h, ref, sample(centre));
+      }
+      const auto got = h.exemplars_above(0.0);
+      const auto want = ref.retained();
+      ASSERT_EQ(got.size(), want.size())
+          << "stream " << stream << " step " << step;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].value, want[i].value)
+            << "stream " << stream << " step " << step;
+        ASSERT_EQ(got[i].trace, want[i].trace);
+        ASSERT_EQ(got[i].ref, want[i].ref);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

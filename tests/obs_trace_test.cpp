@@ -12,6 +12,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -111,7 +112,7 @@ class TraceTest : public ::testing::Test {
     EXPECT_TRUE(evs.front()->trace.valid());
     for (std::size_t i = 1; i < evs.size(); ++i) {
       EXPECT_EQ(evs[i]->parent, evs[i - 1]->id)
-          << "broken chain at '" << evs[i]->name << "'";
+          << "broken chain at '" << events_.name_of(*evs[i]) << "'";
       EXPECT_EQ(evs[i]->trace, evs.front()->trace);
     }
   }
@@ -149,7 +150,7 @@ TEST_F(TraceTest, ColdStartProducesOneLinearChain) {
                             K::kComplete}));
   // The submit event is the chain root, named after the spec.
   EXPECT_EQ(evs.front()->parent, obs::kNoEvent);
-  EXPECT_EQ(evs.front()->name, "fn");
+  EXPECT_EQ(events_.name_of(*evs.front()), "fn");
   // The invocation's public view carries its trace position.
   EXPECT_EQ(p.invocation(fid).trace.trace, evs.front()->trace);
   EXPECT_EQ(p.invocation(fid).trace.last, evs.back()->id);
@@ -180,7 +181,7 @@ TEST_F(TraceTest, WarmPoolReuseKeepsTheChainAndSkipsLaunch) {
   EXPECT_EQ(kinds(evs),
             (std::vector<K>{K::kSubmit, K::kRestore, K::kExec, K::kStateCommit,
                             K::kFinalize, K::kComplete}));
-  EXPECT_EQ(evs[1]->name, "warm_dispatch");
+  EXPECT_EQ(events_.name_of(*evs[1]), "warm_dispatch");
 }
 
 TEST_F(TraceTest, RetryReattemptStaysOnTheFailureChain) {
@@ -212,7 +213,7 @@ TEST_F(TraceTest, RetryReattemptStaysOnTheFailureChain) {
   ASSERT_NE(detect, nullptr);
   ASSERT_NE(action, nullptr);
   ASSERT_NE(recovered, nullptr);
-  EXPECT_EQ(action->name, "retry_restart");
+  EXPECT_EQ(events_.name_of(*action), "retry_restart");
   EXPECT_EQ(launches, 2u);  // killed cold start + retry cold start
   // Detection lags the failure by the configured detect delay.
   EXPECT_EQ((detect->at - failure->at).count_usec(),
@@ -339,7 +340,8 @@ TEST(EventLogTest, OverflowIsCountedAndLeavesContextsIntact) {
   EXPECT_EQ(log.extend(ctx, obs::EventKind::kExec, "c", TimePoint::origin()),
             obs::kNoEvent);
   EXPECT_EQ(ctx.last, second);
-  EXPECT_EQ(log.append(ctx, obs::EventKind::kCheckpoint, "d", TimePoint::origin()),
+  EXPECT_EQ(log.append_state(ctx, obs::EventKind::kCheckpoint, 3,
+                             TimePoint::origin()),
             obs::kNoEvent);
   EXPECT_EQ(log.append_raw(log.new_trace(), obs::kNoEvent,
                            obs::EventKind::kAnnotation, "e", TimePoint::origin()),
@@ -347,6 +349,49 @@ TEST(EventLogTest, OverflowIsCountedAndLeavesContextsIntact) {
   EXPECT_EQ(log.size(), 2u);
   EXPECT_EQ(log.dropped(), 3u);
   EXPECT_TRUE(log.truncated());
+}
+
+// Events are plain data: copying the log is a memcpy, and a name costs
+// four bytes instead of a std::string.
+static_assert(std::is_trivially_copyable_v<obs::Event>);
+static_assert(sizeof(obs::Event) <= 88);
+
+TEST(EventLogTest, NamesAreRenderedAtExport) {
+  obs::EventLog log(5);
+  obs::TraceContext ctx{log.new_trace()};
+  const TimePoint t = TimePoint::origin();
+  const obs::EventId commit =
+      log.extend_state(ctx, obs::EventKind::kStateCommit, 7, t);
+  const obs::EventId checkpoint =
+      log.append_state(ctx, obs::EventKind::kCheckpoint, 12, t);
+  const obs::EventId exec = log.extend(ctx, obs::EventKind::kExec, "run", t);
+  const obs::EventId note = log.append_raw(
+      log.new_trace(), obs::kNoEvent, obs::EventKind::kAnnotation, "run", t);
+  const obs::EventId other =
+      log.append(ctx, obs::EventKind::kAnnotation, "node_fenced", t);
+  ASSERT_EQ(log.size(), 5u);
+  EXPECT_EQ(ctx.last, exec);
+
+  EXPECT_EQ(log.name_of(*log.find(commit)), "state_7");
+  EXPECT_EQ(log.name_of(*log.find(checkpoint)), "checkpoint_12");
+  EXPECT_EQ(log.name_of(*log.find(exec)), "run");
+  EXPECT_EQ(log.name_of(*log.find(note)), "run");
+  EXPECT_EQ(log.name_of(*log.find(other)), "node_fenced");
+  // A repeated name is interned once; state kinds intern nothing.
+  EXPECT_EQ(log.find(exec)->name, log.find(note)->name);
+  EXPECT_EQ(log.interned_names(), 2u);
+
+  // A drop at the cap interns nothing.
+  EXPECT_EQ(log.extend(ctx, obs::EventKind::kExec, "never_recorded", t),
+            obs::kNoEvent);
+  EXPECT_EQ(log.interned_names(), 2u);
+
+  std::ostringstream json;
+  log.write_json(json);
+  EXPECT_NE(json.str().find("\"name\":\"state_7\""), std::string::npos);
+  EXPECT_NE(json.str().find("\"name\":\"checkpoint_12\""),
+            std::string::npos);
+  EXPECT_EQ(json.str().find("never_recorded"), std::string::npos);
 }
 
 TEST(EventLogTest, HealthMatchesPerKindDropCounts) {

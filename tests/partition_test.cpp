@@ -256,7 +256,7 @@ TEST(PartitionScenarioTest, ZoneOutageIsOneCausalEventAndSkipsDeadNodes) {
   std::size_t outage_roots = 0;
   for (const obs::Event& event : result.events->events()) {
     if (event.kind == obs::EventKind::kAnnotation &&
-        event.name == "injected_zone_outage") {
+        result.events->name_of(event) == "injected_zone_outage") {
       ++outage_roots;
     }
   }
@@ -315,7 +315,9 @@ TEST(PartitionScenarioTest, EveryInjectedFaultKindIsCountedOnce) {
 
   std::map<std::string, double> annotations;
   for (const obs::Event& event : result.events->events()) {
-    if (event.kind == obs::EventKind::kAnnotation) annotations[event.name] += 1;
+    if (event.kind == obs::EventKind::kAnnotation) {
+      annotations[result.events->name_of(event)] += 1;
+    }
   }
   const obs::MetricRegistry& m = result.metrics;
   EXPECT_EQ(m.counter("heartbeats_delayed"), 24.0);

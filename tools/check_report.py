@@ -24,9 +24,14 @@ counts, plus peak RSS. With --baseline, each phase's rate is compared
 against the same phase in the baseline report and the check fails if
 any phase regressed by more than --max-regress (default 0.20, i.e.
 20%). Engine phases are gated on events/sec. platform_* phases are gated
-on invocations/sec (config.invocations / wall_s): the platform's event
-count per invocation depends on its event model, so events/sec there
-would read an event-volume cut as a slowdown.
+on invocations/sec (the phase's `invocations`, else config.invocations,
+over wall_s): the platform's event count per invocation depends on its
+event model, so events/sec there would read an event-volume cut as a
+slowdown. A baseline phase with "gate_rate": false gates no rate.
+Allocation counts are deterministic, so every baseline phase also gates
+them: the check fails when a phase allocates more than its baseline
+count plus ALLOC_MARGIN (2%) plus ALLOC_SLACK (16), the room left for
+libstdc++ versions that allocate differently.
 
 canary.chaos/v1 — the chaos-campaign verdicts emitted by
 bench/chaos_campaign: scenario count, injected-fault totals, detector
@@ -101,6 +106,10 @@ HEDGE_SCHEMA = "canary.hedge/v1"
 PARTITION_SCHEMA = "canary.partition/v1"
 REALEXEC_SCHEMA = "canary.realexec/v1"
 REALEXEC_BASELINE_SCHEMA = "canary.realexec.baseline/v1"
+# Allowance over a bench baseline's exact allocation count, relative and
+# absolute, for standard-library versions that allocate differently.
+ALLOC_MARGIN = 0.02
+ALLOC_SLACK = 16
 CHAOS_ORACLES = [
     "completion",
     "exactly_once",
@@ -403,14 +412,16 @@ def fmt_rate(rate, unit):
 def gate_rate(phase, config):
     """The rate --baseline gates a bench phase on, with its unit."""
     if phase["name"].startswith("platform_"):
-        return config["invocations"] / phase["wall_s"], "inv/s"
+        invocations = phase.get("invocations", config["invocations"])
+        return invocations / phase["wall_s"], "inv/s"
     return phase["events_per_sec"], "ev/s"
 
 
 def check_bench_report(report, path):
     """Validate a canary.bench/v1 report.
 
-    Returns {phase name: (gated rate, unit)}; see gate_rate.
+    Returns {phase name: (gated rate, unit, allocations, rate gated?)};
+    see gate_rate.
     """
     expect(isinstance(report, dict), "top level: expected an object")
     expect(report.get("schema") == BENCH_SCHEMA,
@@ -441,18 +452,26 @@ def check_bench_report(report, path):
         expect(phase["events_per_sec"] > 0,
                f"{p}.events_per_sec: must be positive")
         expect(phase["allocations"] >= 0, f"{p}.allocations: negative")
+        if "invocations" in phase:
+            check_number(phase, "invocations", p)
+            expect(phase["invocations"] > 0,
+                   f"{p}.invocations: must be positive")
+        expect(isinstance(phase.get("gate_rate", True), bool),
+               f"{p}.gate_rate: expected a bool")
         measured_rate = phase["events"] / phase["wall_s"]
         expect(abs(measured_rate - phase["events_per_sec"])
                <= 0.01 * measured_rate,
                f"{p}.events_per_sec inconsistent with events/wall_s")
         expect(phase["name"] not in rates, f"{p}: duplicate phase name")
-        rates[phase["name"]] = gate_rate(phase, config)
+        rate, unit = gate_rate(phase, config)
+        rates[phase["name"]] = (rate, unit, phase["allocations"],
+                                phase.get("gate_rate", True))
 
     check_number(report, "peak_rss_bytes", "top level")
     expect(report["peak_rss_bytes"] > 0, "peak_rss_bytes: must be positive")
 
-    summary = ", ".join(
-        f"{name} {fmt_rate(rate, unit)}" for name, (rate, unit) in rates.items())
+    summary = ", ".join(f"{name} {fmt_rate(rate, unit)}"
+                        for name, (rate, unit, _, _) in rates.items())
     print(f"{path}: OK ({BENCH_SCHEMA}, {summary})")
     return rates
 
@@ -1077,11 +1096,22 @@ def compare_hedge(report, baseline, max_regress, path):
 
 
 def compare_bench(rates, baseline_rates, max_regress, path):
-    """Fail if any phase's gated rate regressed beyond max_regress."""
-    for name, (base_rate, unit) in baseline_rates.items():
+    """Fail if any phase allocates more than its baseline (within the
+    stated margin) or its gated rate regressed beyond max_regress."""
+    for name, (base_rate, unit, base_allocs, rate_gated) in \
+            baseline_rates.items():
         expect(name in rates, f"{path}: phase '{name}' missing vs baseline")
+        rate, _, allocs, _ = rates[name]
+        ceiling = base_allocs * (1.0 + ALLOC_MARGIN) + ALLOC_SLACK
+        expect(allocs <= ceiling,
+               f"{path}: phase '{name}' allocates more: {allocs} > "
+               f"{ceiling:.0f} (baseline {base_allocs}, margin "
+               f"{ALLOC_MARGIN:.0%} + {ALLOC_SLACK})")
+        print(f"{path}: {name}: {allocs} allocations vs baseline "
+              f"{base_allocs}")
+        if not rate_gated:
+            continue
         floor = base_rate * (1.0 - max_regress)
-        rate = rates[name][0]
         expect(rate >= floor,
                f"{path}: phase '{name}' regressed: {rate:.0f} {unit} < "
                f"{floor:.0f} {unit} (baseline {base_rate:.0f}, "
